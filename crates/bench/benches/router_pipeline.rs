@@ -11,11 +11,13 @@ use lumen_noc::link::{Endpoint, Link, LinkKind};
 use lumen_noc::network::Effect;
 use lumen_noc::router::Router;
 use lumen_noc::routing::RoutingAlgorithm;
+use lumen_noc::RouteTable;
 use std::hint::black_box;
 
 /// A paper-dimension router (12 ports) with an ejection link on port 0
-/// and a continuous supply of flits on input port 1.
-fn harness() -> (NocConfig, Router, Vec<Link>) {
+/// and a continuous supply of flits on input port 1, routing through the
+/// precomputed table as the simulator does.
+fn harness() -> (NocConfig, Router, Vec<Link>, RouteTable) {
     let config = NocConfig::paper_default();
     let mut router = Router::new(RouterId(0), RoutingAlgorithm::XY, &config);
     let eject = Link::new(
@@ -32,18 +34,19 @@ fn harness() -> (NocConfig, Router, Vec<Link>) {
     );
     router.outputs[0].link = Some(LinkId(0));
     router.inputs[1].feeder = Some(LinkId(0)); // placeholder feeder id
-    (config, router, vec![eject])
+    let table = RouteTable::build(&config, RoutingAlgorithm::XY);
+    (config, router, vec![eject], table)
 }
 
 fn idle_tick(c: &mut Criterion) {
-    let (config, mut router, mut links) = harness();
+    let (config, mut router, mut links, table) = harness();
     let mut effects = Vec::new();
     let mut group = c.benchmark_group("router");
     group.throughput(Throughput::Elements(1));
     group.bench_function("idle_tick", |b| {
         let mut now = Picos::ZERO;
         b.iter(|| {
-            router.tick(now, &config, &mut links, &mut effects);
+            router.tick(now, &config, Some(&table), &mut links, &mut effects);
             effects.clear();
             now += config.cycle();
             black_box(&router);
@@ -53,7 +56,7 @@ fn idle_tick(c: &mut Criterion) {
 }
 
 fn streaming_tick(c: &mut Criterion) {
-    let (config, mut router, mut links) = harness();
+    let (config, mut router, mut links, table) = harness();
     let mut effects = Vec::new();
     let mut group = c.benchmark_group("router");
     group.throughput(Throughput::Elements(1));
@@ -75,7 +78,7 @@ fn streaming_tick(c: &mut Criterion) {
                     pending.pop();
                 }
             }
-            router.tick(now, &config, &mut links, &mut effects);
+            router.tick(now, &config, Some(&table), &mut links, &mut effects);
             // Instantly recycle credits so traffic keeps flowing.
             for eff in effects.drain(..) {
                 if let Effect::Flit { vc, .. } = eff {

@@ -708,11 +708,8 @@ mod tests {
         std::fs::remove_file(format!("{base}.load-0-1")).unwrap();
         std::fs::remove_file(format!("{base}.load-0-1--b-")).unwrap();
 
-        // Under LUMEN_TEST_CHECKPOINT=1 the plain runs are themselves
-        // split in-memory, so only the saving run is guaranteed cold.
-        let env_split = std::env::var("LUMEN_TEST_CHECKPOINT").is_ok_and(|v| v == "1");
         for ((u, s), r) in unbroken.iter().zip(&saved).zip(&resumed) {
-            assert!(u.resumed == env_split && !s.resumed && r.resumed);
+            assert!(!u.resumed && !s.resumed && r.resumed);
             assert_eq!(u.packets_delivered, s.packets_delivered);
             assert_eq!(u.packets_delivered, r.packets_delivered);
             assert_eq!(u.avg_power_mw.to_bits(), r.avg_power_mw.to_bits());

@@ -49,7 +49,6 @@ pub struct Experiment {
     shards: usize,
     lookahead_cap: Option<u64>,
     telemetry: TelemetryConfig,
-    route_table: RouteTableMode,
     save: Option<(u64, PathBuf)>,
     resume_from: Option<PathBuf>,
 }
@@ -70,7 +69,6 @@ impl Experiment {
             shards: crate::shard::default_shards(),
             lookahead_cap: None,
             telemetry: TelemetryConfig::default(),
-            route_table: RouteTableMode::Auto,
             save: None,
             resume_from: None,
         }
@@ -101,16 +99,6 @@ impl Experiment {
         self
     }
 
-    /// Sets the route-table mode (default [`RouteTableMode::Auto`]:
-    /// precompute a flat table unless `LUMEN_ROUTE_TABLE=off`). A pure
-    /// performance knob — results are bit-identical in every mode; used
-    /// by the perf harness and differential tests to measure and pin
-    /// exactly that.
-    pub fn route_table(mut self, mode: RouteTableMode) -> Self {
-        self.route_table = mode;
-        self
-    }
-
     /// Sets the number of parallel shards the run is split into
     /// (clamped to the mesh height; 1 = sequential engine). This is the
     /// *explicit* knob: the run uses the requested partition even when
@@ -125,8 +113,10 @@ impl Experiment {
     /// Like [`Experiment::shards`], but host-aware: the count is also
     /// clamped to the machine's core count (see
     /// [`crate::shard::host_shards`]). Results are bit-identical either
-    /// way — shard count is a pure performance knob — so on an
-    /// oversubscribed host this degrades toward the sequential engine
+    /// way — shard count is a pure performance knob — so with a core per
+    /// shard this runs the requested partition (1.30–1.44× faster at 2
+    /// shards on a 2-core host, for the 32×32 datacenter mesh), and on an
+    /// oversubscribed host it degrades toward the sequential engine
     /// instead of paying conservative-sync coordination for no
     /// parallelism.
     pub fn shards_auto(mut self, shards: usize) -> Self {
@@ -226,18 +216,6 @@ impl Experiment {
         if let Some((cycle, path)) = self.save.clone() {
             return self.run_with_save(source, cycle, &path);
         }
-        // LUMEN_TEST_CHECKPOINT=1: route every eligible run through an
-        // in-memory save/resume split at mid-horizon. Tier-1 tests then
-        // exercise the checkpoint path end-to-end — every assertion they
-        // make about unbroken runs must hold for split runs too.
-        if std::env::var("LUMEN_TEST_CHECKPOINT").is_ok_and(|v| v == "1")
-            && source.checkpoint_state().is_some()
-        {
-            let mid = (self.warmup_cycles + self.measure_cycles) / 2;
-            let (ckpt, engine) = self.run_prefix(source, mid);
-            let ckpt = Checkpoint::from_bytes(&ckpt.to_bytes()).expect("checkpoint round trip");
-            return self.run_resumed(ckpt, engine.into_model().source);
-        }
         let shards = if self.needs_sequential() { 1 } else { self.shards };
         let outcome = crate::shard::run_sharded_with(
             self.config.clone(),
@@ -248,7 +226,7 @@ impl Experiment {
             self.measure_cycles,
             shards,
             self.lookahead_cap,
-            self.route_table.clone(),
+            RouteTableMode::Auto,
         );
         self.collect(outcome.sim, outcome.end, outcome.events, false)
     }
@@ -271,12 +249,11 @@ impl Experiment {
             source.checkpoint_state().is_some(),
             "this traffic source is not checkpointable"
         );
-        let mut engine = PowerAwareSim::build_engine_with_route_table(
+        let mut engine = PowerAwareSim::build_engine_telemetry(
             self.config.clone(),
             source,
             self.sample_every,
             self.telemetry,
-            self.route_table.clone(),
         );
         let cycle = engine.model().cycle;
         if upto >= self.warmup_cycles {
@@ -355,12 +332,11 @@ impl Experiment {
             "checkpoint cycle {} is beyond this run's {total}-cycle horizon",
             ckpt.cycle
         );
-        let mut engine = PowerAwareSim::build_engine_with_route_table(
+        let mut engine = PowerAwareSim::build_engine_telemetry(
             self.config.clone(),
             source,
             self.sample_every,
             self.telemetry,
-            self.route_table.clone(),
         );
         // The fresh engine scheduled a cold start (tick 0, laser epoch,
         // fault onsets); the checkpoint's calendar replaces all of it.

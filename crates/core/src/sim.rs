@@ -208,7 +208,7 @@ impl PowerAwareSim {
         source: Box<dyn TrafficSource + Send>,
         sample_every: Option<u64>,
     ) -> Engine<PowerAwareSim> {
-        Self::build_engine_inner(
+        Self::build_engine_with(
             config,
             source,
             sample_every,
@@ -228,63 +228,28 @@ impl PowerAwareSim {
         sample_every: Option<u64>,
         telemetry: TelemetryConfig,
     ) -> Engine<PowerAwareSim> {
-        Self::build_engine_with_route_table(
+        Self::build_engine_with(
             config,
             source,
             sample_every,
             telemetry,
             RouteTableMode::Auto,
-        )
-    }
-
-    /// [`PowerAwareSim::build_engine_telemetry`] with an explicit
-    /// [`RouteTableMode`]: `Off` forces on-the-fly routing (the
-    /// before/after rows in `perf_events` and the bit-identity
-    /// differential tests), `Shared` adopts a table built once for many
-    /// engines. Simulation output is bit-identical across modes.
-    pub fn build_engine_with_route_table(
-        config: SystemConfig,
-        source: Box<dyn TrafficSource + Send>,
-        sample_every: Option<u64>,
-        telemetry: TelemetryConfig,
-        route_table: RouteTableMode,
-    ) -> Engine<PowerAwareSim> {
-        Self::build_engine_inner(config, source, sample_every, telemetry, route_table, false, None)
-    }
-
-    /// Builds one shard replica of the system for the conservative-parallel
-    /// backend: the replica holds the full network image but only ticks,
-    /// polices, and fault-schedules the region `ctx` owns.
-    pub(crate) fn build_engine_shard(
-        config: SystemConfig,
-        source: Box<dyn TrafficSource + Send>,
-        sample_every: Option<u64>,
-        telemetry: TelemetryConfig,
-        route_table: RouteTableMode,
-        ctx: crate::shard::ShardCtx,
-    ) -> Engine<PowerAwareSim> {
-        Self::build_engine_inner(
-            config,
-            source,
-            sample_every,
-            telemetry,
-            route_table,
             false,
-            Some(Box::new(ctx)),
+            None,
         )
     }
 
     /// [`PowerAwareSim::build_engine`], but on the reference binary-heap
     /// calendar instead of the bucketed cycle wheel. Outputs are
     /// bit-identical (both calendars deliver the same `(time, seq)`
-    /// sequence); this exists so perf harnesses can measure the pre-wheel
-    /// baseline and differential tests can pin the equivalence.
+    /// sequence); this exists so differential tests can pin the
+    /// equivalence.
     pub fn build_engine_reference_queue(
         config: SystemConfig,
         source: Box<dyn TrafficSource + Send>,
         sample_every: Option<u64>,
     ) -> Engine<PowerAwareSim> {
-        Self::build_engine_inner(
+        Self::build_engine_with(
             config,
             source,
             sample_every,
@@ -295,8 +260,14 @@ impl PowerAwareSim {
         )
     }
 
+    /// The one builder behind every public constructor. `route_table`
+    /// picks how the network routes (output is bit-identical in every
+    /// mode), `reference_queue` selects the binary-heap calendar, and
+    /// `shard` makes the engine one replica of the conservative-parallel
+    /// backend: it holds the full network image but only ticks, polices,
+    /// and fault-schedules the region the context owns.
     #[allow(clippy::too_many_arguments)]
-    fn build_engine_inner(
+    pub(crate) fn build_engine_with(
         config: SystemConfig,
         source: Box<dyn TrafficSource + Send>,
         sample_every: Option<u64>,

@@ -11,8 +11,8 @@
 //!   amortized O(1) drain of a sorted `Vec`, instead of O(log n) heap
 //!   sifts per event.
 //! - the **reference binary heap** ([`EventQueue::reference_heap`]): the
-//!   original comparison-based calendar, kept for differential testing
-//!   and as the perf baseline recorded in `BENCH_events.json`.
+//!   original comparison-based calendar, kept as the oracle of the
+//!   differential tests.
 //!
 //! Both deliver events in exactly the same order — nondecreasing
 //! `(time, seq)`, i.e. FIFO among events scheduled for the same instant —
@@ -357,11 +357,6 @@ impl<E> EventQueue<E> {
             scheduled_total: 0,
             len: 0,
         }
-    }
-
-    /// Whether this queue runs on the reference binary-heap backend.
-    pub fn is_reference_heap(&self) -> bool {
-        matches!(self.backend, Backend::Heap(_))
     }
 
     /// Schedules `event` to fire at absolute time `at`.

@@ -526,9 +526,7 @@ mod tests {
             let r = Point::new("unbroken", exp, workload)
                 .in_group(scenario.group)
                 .run_at_index(0);
-            // Cold, unless LUMEN_TEST_CHECKPOINT=1 split it in-memory.
-            let env_split = std::env::var("LUMEN_TEST_CHECKPOINT").is_ok_and(|v| v == "1");
-            assert_eq!(r.resumed, env_split);
+            assert!(!r.resumed);
             let o = r.objectives().expect("unbroken run usable");
             assert_eq!(
                 p.objectives.normalized_power.to_bits(),

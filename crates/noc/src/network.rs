@@ -106,7 +106,7 @@ impl Network {
 
     /// Builds the network with an explicit routing algorithm and route-
     /// table mode: [`RouteTableMode::Auto`] precomputes the flat table
-    /// (unless `LUMEN_ROUTE_TABLE=off`), [`RouteTableMode::Off`] routes
+    /// (unless it is oversized), [`RouteTableMode::Off`] routes
     /// on the fly, and [`RouteTableMode::Shared`] adopts a table built
     /// once for many replicas (the sharded backend).
     ///
@@ -591,6 +591,7 @@ mod tests {
     use super::*;
     use crate::ids::Direction;
     use crate::routing::direction_port;
+    use crate::topology::TopologyKind;
     use lumen_desim::EventQueue;
     use lumen_opto::Gbps;
 
@@ -672,7 +673,7 @@ mod tests {
     #[test]
     fn torus_topology_counts_and_delivery() {
         let mut config = NocConfig::small_for_tests();
-        config.topology = crate::topology::TopologyKind::Torus;
+        config.topology = TopologyKind::Torus;
         let mut d = Driver::new(&config);
         // A 2×2 torus wires all four ports of every router: 16 directed
         // channels vs the mesh's 8.
@@ -697,7 +698,7 @@ mod tests {
     #[test]
     fn folded_clos_topology_counts_and_delivery() {
         let mut config = NocConfig::small_for_tests();
-        config.topology = crate::topology::TopologyKind::FoldedClos { spines: 2 };
+        config.topology = TopologyKind::FoldedClos { spines: 2 };
         let mut d = Driver::new(&config);
         // 4 leaves + 2 spines; 2 × 4 × 2 directed up/down channels.
         assert_eq!(d.net.router_count(), 6);
@@ -806,30 +807,33 @@ mod tests {
 
     #[test]
     fn west_first_every_pair_delivers() {
-        let mut config = NocConfig::small_for_tests();
-        // Under LUMEN_TEST_TOPOLOGY=torus this exercises the (opt-in)
-        // mesh-order fallback; the delivery guarantee must still hold.
-        config.allow_torus_mesh_routing = true;
-        let mut d = Driver {
-            net: Network::with_routing(&config, crate::routing::RoutingAlgorithm::WestFirst),
-            queue: EventQueue::new(),
-            effects: Vec::new(),
-            ejected: Vec::new(),
-            now: Picos::ZERO,
-        };
-        let n = d.net.node_count();
-        let mut id = 0;
-        for s in 0..n {
-            for t in 0..n {
-                if s != t {
-                    id += 1;
-                    d.net.inject(packet(id, s, t, 3, Picos::ZERO));
+        // On the torus this exercises the (opt-in) mesh-order fallback;
+        // the delivery guarantee must still hold.
+        for topology in [TopologyKind::Mesh, TopologyKind::Torus] {
+            let mut config = NocConfig::small_for_tests();
+            config.topology = topology;
+            config.allow_torus_mesh_routing = true;
+            let mut d = Driver {
+                net: Network::with_routing(&config, crate::routing::RoutingAlgorithm::WestFirst),
+                queue: EventQueue::new(),
+                effects: Vec::new(),
+                ejected: Vec::new(),
+                now: Picos::ZERO,
+            };
+            let n = d.net.node_count();
+            let mut id = 0;
+            for s in 0..n {
+                for t in 0..n {
+                    if s != t {
+                        id += 1;
+                        d.net.inject(packet(id, s, t, 3, Picos::ZERO));
+                    }
                 }
             }
+            d.run(4000);
+            assert_eq!(d.ejected.len() as u64, id);
+            assert!(d.net.is_quiescent());
         }
-        d.run(4000);
-        assert_eq!(d.ejected.len() as u64, id);
-        assert!(d.net.is_quiescent());
     }
 
     #[test]

@@ -54,7 +54,7 @@
 //! pushes East (port `npr+2`) before South/North (`npr+1`/`npr+0`), an
 //! order no ascending bitmask walk can reproduce. The on-the-fly path
 //! stays alive as the oracle the table is built from (and differentially
-//! tested against), and as the `LUMEN_ROUTE_TABLE=off` fallback.
+//! tested against), and as the fallback for oversized tables.
 
 use crate::config::NocConfig;
 use crate::ids::{NodeId, PortId, RouterId};
@@ -136,14 +136,12 @@ impl RouteSet {
 /// How a [`Network`](crate::network::Network) acquires its route table.
 #[derive(Debug, Clone, Default)]
 pub enum RouteTableMode {
-    /// Build a table for the configured topology/algorithm unless
-    /// `LUMEN_ROUTE_TABLE=off` (or the table would exceed
-    /// [`MAX_ROUTE_TABLE_BYTES`]). The default everywhere.
+    /// Build a table for the configured topology/algorithm unless it
+    /// would exceed [`MAX_ROUTE_TABLE_BYTES`]. The default everywhere.
     #[default]
     Auto,
-    /// Route on the fly (the pre-table behaviour). Used by the env
-    /// fallback, the differential tests, and the `perf_events`
-    /// before/after rows.
+    /// Route on the fly (the pre-table behaviour): the oracle the
+    /// differential tests compare the table path against.
     Off,
     /// Adopt a table built elsewhere. The sharded backend builds one
     /// table per run and hands the same `Arc` to every shard replica, so
@@ -304,13 +302,9 @@ impl RouteTable {
         table
     }
 
-    /// Builds a shareable table unless disabled by `LUMEN_ROUTE_TABLE=off`
-    /// (read once per process) or oversized
+    /// Builds a shareable table unless oversized
     /// (> [`MAX_ROUTE_TABLE_BYTES`]); `None` means route on the fly.
     pub fn shared(config: &NocConfig, algo: RoutingAlgorithm) -> Option<Arc<RouteTable>> {
-        if !env_enabled() {
-            return None;
-        }
         let entry_count = match config.topology {
             TopologyKind::Mesh | TopologyKind::Torus => {
                 (2 * config.width as usize - 1) * (2 * config.height as usize - 1)
@@ -329,10 +323,17 @@ impl RouteTable {
     }
 
     /// Whether this table serves the given configuration/algorithm
-    /// (topology kind plus entry and node counts).
+    /// (topology kind, grid shape, and entry and node counts).
     pub fn matches(&self, config: &NocConfig, algo: RoutingAlgorithm) -> bool {
+        let shape_matches = match self.layout {
+            Layout::PerPair => true,
+            Layout::Delta { width, height } => {
+                width == config.width as i32 && height == config.height as i32
+            }
+        };
         self.kind == config.topology
             && self.algo == algo
+            && shape_matches
             && self.routers == config.router_count()
             && self.racks == config.rack_count()
             && self.node_router.len() == config.node_count()
@@ -384,20 +385,6 @@ impl RouteTable {
     pub fn router_of_node(&self, dst: NodeId) -> RouterId {
         self.node_router[dst.index()]
     }
-}
-
-/// Whether `LUMEN_ROUTE_TABLE` permits table-backed routing (read once
-/// per process; `off`/`0` disables, `on`/`1`/unset enables).
-pub fn env_enabled() -> bool {
-    use std::sync::OnceLock;
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("LUMEN_ROUTE_TABLE").as_deref() {
-        Ok("off") | Ok("0") => false,
-        Ok("on") | Ok("1") | Ok("") | Err(_) => true,
-        Ok(other) => panic!(
-            "unknown LUMEN_ROUTE_TABLE {other:?} (expected \"on\"/\"1\" or \"off\"/\"0\")"
-        ),
-    })
 }
 
 #[cfg(test)]
@@ -520,12 +507,7 @@ mod tests {
         let table = Arc::new(RouteTable::build(&c, c.routing));
         let resolved = RouteTableMode::Shared(Arc::clone(&table)).resolve(&c);
         assert!(Arc::ptr_eq(&resolved.unwrap(), &table));
-        // Auto obeys the (unset-in-tests ⇒ enabled) env switch.
-        if env_enabled() {
-            assert!(RouteTableMode::Auto.resolve(&c).is_some());
-        } else {
-            assert!(RouteTableMode::Auto.resolve(&c).is_none());
-        }
+        assert!(RouteTableMode::Auto.resolve(&c).is_some());
     }
 
     #[test]
@@ -534,5 +516,18 @@ mod tests {
         let c = NocConfig::paper_default();
         let small = Arc::new(RouteTable::build(&NocConfig::small_for_tests(), c.routing));
         let _ = RouteTableMode::Shared(small).resolve(&c);
+    }
+
+    #[test]
+    #[should_panic(expected = "different geometry")]
+    fn transposed_shared_table_rejected() {
+        // A 4×2 mesh and a 2×4 mesh agree on every count the table keeps,
+        // but their delta rows are laid out on different strides.
+        let mut wide = NocConfig::small_for_tests();
+        wide.width = 4;
+        let mut tall = NocConfig::small_for_tests();
+        tall.height = 4;
+        let table = Arc::new(RouteTable::build(&wide, wide.routing));
+        let _ = RouteTableMode::Shared(table).resolve(&tall);
     }
 }

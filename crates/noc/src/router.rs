@@ -440,7 +440,7 @@ impl Router {
                 );
                 let dst = front.dst;
                 // The hot path: one indexed load from the precomputed
-                // table. The fallback (LUMEN_ROUTE_TABLE=off, oversized
+                // table. The fallback (RouteTableMode::Off, oversized
                 // tables) recomputes through the topology; both yield the
                 // same candidates in the same order, so selection below is
                 // bit-identical either way.
@@ -537,20 +537,23 @@ mod tests {
     use crate::ids::{NodeId, PacketId};
     use crate::link::{Endpoint, LinkKind};
     use lumen_opto::Gbps;
+    use std::sync::Arc;
 
     /// A 1-router harness: router 0 of a 2×2 mesh with 2 local ports,
     /// with an ejection link on local port 0 and an East link.
     struct Harness {
         config: NocConfig,
         router: Router,
-        table: Option<std::sync::Arc<RouteTable>>,
+        table: Option<Arc<RouteTable>>,
         links: Vec<Link>,
         effects: Vec<Effect>,
         now: Picos,
     }
 
     impl Harness {
-        fn new() -> Self {
+        /// Routes through the precomputed table when `table` is set, on
+        /// the fly otherwise.
+        fn new(table: bool) -> Self {
             let config = NocConfig::small_for_tests();
             let mut router = Router::new(RouterId(0), RoutingAlgorithm::XY, &config);
             let eject = Link::new(
@@ -583,9 +586,7 @@ mod tests {
             router.outputs[0].link = Some(LinkId(0));
             router.outputs[4].link = Some(LinkId(1));
             router.inputs[1].feeder = Some(LinkId(7)); // pretend injection feeder
-            // Honors LUMEN_ROUTE_TABLE, so the suite covers the fallback
-            // RC path too when CI replays with the table disabled.
-            let table = RouteTable::shared(&config, RoutingAlgorithm::XY);
+            let table = table.then(|| Arc::new(RouteTable::build(&config, RoutingAlgorithm::XY)));
             Harness {
                 config,
                 router,
@@ -594,6 +595,11 @@ mod tests {
                 effects: Vec::new(),
                 now: Picos::ZERO,
             }
+        }
+
+        /// One harness per RC path: table-backed, then on the fly.
+        fn both() -> [Harness; 2] {
+            [Harness::new(true), Harness::new(false)]
         }
 
         fn tick(&mut self) {
@@ -614,164 +620,170 @@ mod tests {
 
     #[test]
     fn head_flit_pipeline_latency() {
-        let mut h = Harness::new();
-        // Destination node 0 lives on this router → ejection port 0.
-        let pkt = packet_to(NodeId(0), 1);
-        for f in pkt.into_flits() {
-            h.router.accept_flit(PortId(1), VcId(0), f);
+        for mut h in Harness::both() {
+            // Destination node 0 lives on this router → ejection port 0.
+            let pkt = packet_to(NodeId(0), 1);
+            for f in pkt.into_flits() {
+                h.router.accept_flit(PortId(1), VcId(0), f);
+            }
+            // Cycle 1: RC, cycle 2: VA, cycle 3: SA (flit pops), ST at cycle 4.
+            h.tick();
+            assert!(h.effects.is_empty());
+            assert_eq!(
+                h.router.inputs[1].vc_state[0],
+                VcState::VcAlloc { out_port: PortId(0) }
+            );
+            h.tick();
+            assert!(matches!(h.router.inputs[1].vc_state[0], VcState::Active { .. }));
+            h.tick();
+            // SA granted during the 3rd tick; flit departure scheduled.
+            let flit_events: Vec<&Effect> = h
+                .effects
+                .iter()
+                .filter(|e| matches!(e, Effect::Flit { .. }))
+                .collect();
+            assert_eq!(flit_events.len(), 1);
+            if let Effect::Flit { link, at, .. } = flit_events[0] {
+                assert_eq!(*link, LinkId(0));
+                // ST at cycle 3 start + 1 cycle, + 1 cycle serialization + prop.
+                let expect = h.config.cycle() * 3 + h.config.cycle() + h.config.propagation;
+                assert_eq!(*at, expect);
+            }
+            // Credit returned to the feeder.
+            assert!(h
+                .effects
+                .iter()
+                .any(|e| matches!(e, Effect::Credit { link, .. } if *link == LinkId(7))));
+            // Tail flit released everything.
+            assert_eq!(h.router.inputs[1].vc_state[0], VcState::Idle);
+            assert!(h.router.is_quiescent());
         }
-        // Cycle 1: RC, cycle 2: VA, cycle 3: SA (flit pops), ST at cycle 4.
-        h.tick();
-        assert!(h.effects.is_empty());
-        assert_eq!(
-            h.router.inputs[1].vc_state[0],
-            VcState::VcAlloc { out_port: PortId(0) }
-        );
-        h.tick();
-        assert!(matches!(h.router.inputs[1].vc_state[0], VcState::Active { .. }));
-        h.tick();
-        // SA granted during the 3rd tick; flit departure scheduled.
-        let flit_events: Vec<&Effect> = h
-            .effects
-            .iter()
-            .filter(|e| matches!(e, Effect::Flit { .. }))
-            .collect();
-        assert_eq!(flit_events.len(), 1);
-        if let Effect::Flit { link, at, .. } = flit_events[0] {
-            assert_eq!(*link, LinkId(0));
-            // ST at cycle 3 start + 1 cycle, + 1 cycle serialization + prop.
-            let expect = h.config.cycle() * 3 + h.config.cycle() + h.config.propagation;
-            assert_eq!(*at, expect);
-        }
-        // Credit returned to the feeder.
-        assert!(h
-            .effects
-            .iter()
-            .any(|e| matches!(e, Effect::Credit { link, .. } if *link == LinkId(7))));
-        // Tail flit released everything.
-        assert_eq!(h.router.inputs[1].vc_state[0], VcState::Idle);
-        assert!(h.router.is_quiescent());
     }
 
     #[test]
     fn multi_flit_packet_streams_one_per_cycle() {
-        let mut h = Harness::new();
-        for f in packet_to(NodeId(0), 3).into_flits() {
-            h.router.accept_flit(PortId(1), VcId(0), f);
+        for mut h in Harness::both() {
+            for f in packet_to(NodeId(0), 3).into_flits() {
+                h.router.accept_flit(PortId(1), VcId(0), f);
+            }
+            for _ in 0..6 {
+                h.tick();
+            }
+            let departures: Vec<Picos> = h
+                .effects
+                .iter()
+                .filter_map(|e| match e {
+                    Effect::Flit { at, .. } => Some(*at),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(departures.len(), 3);
+            // Consecutive flits leave one cycle apart (full-rate link).
+            assert_eq!(departures[1] - departures[0], h.config.cycle());
+            assert_eq!(departures[2] - departures[1], h.config.cycle());
         }
-        for _ in 0..6 {
-            h.tick();
-        }
-        let departures: Vec<Picos> = h
-            .effects
-            .iter()
-            .filter_map(|e| match e {
-                Effect::Flit { at, .. } => Some(*at),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(departures.len(), 3);
-        // Consecutive flits leave one cycle apart (full-rate link).
-        assert_eq!(departures[1] - departures[0], h.config.cycle());
-        assert_eq!(departures[2] - departures[1], h.config.cycle());
     }
 
     #[test]
     fn credits_block_when_exhausted() {
-        let mut h = Harness::new();
-        // Drain all credits from output 0 (depth 4 in the test config),
-        // feeding flits in only as buffer space allows (as a credit-
-        // respecting upstream would).
-        let depth = h.config.depth_per_vc();
-        let mut pending: Vec<_> = packet_to(NodeId(0), 16).into_flits().take(8).collect();
-        pending.reverse();
-        for _ in 0..24 {
-            if let Some(&next) = pending.last() {
-                if h.router.inputs[1].buffer.free_slots(VcId(0)) > 0 {
-                    h.router.accept_flit(PortId(1), VcId(0), next);
-                    pending.pop();
+        for mut h in Harness::both() {
+            // Drain all credits from output 0 (depth 4 in the test config),
+            // feeding flits in only as buffer space allows (as a credit-
+            // respecting upstream would).
+            let depth = h.config.depth_per_vc();
+            let mut pending: Vec<_> = packet_to(NodeId(0), 16).into_flits().take(8).collect();
+            pending.reverse();
+            for _ in 0..24 {
+                if let Some(&next) = pending.last() {
+                    if h.router.inputs[1].buffer.free_slots(VcId(0)) > 0 {
+                        h.router.accept_flit(PortId(1), VcId(0), next);
+                        pending.pop();
+                    }
                 }
+                h.tick();
             }
+            let sent = h
+                .effects
+                .iter()
+                .filter(|e| matches!(e, Effect::Flit { .. }))
+                .count();
+            // Only `depth` flits may leave before credits run out.
+            assert_eq!(sent, depth as usize);
+            // Returning one credit lets exactly one more through.
+            h.router.return_credit(PortId(0), VcId(0), h.config.depth_per_vc() as u16);
+            h.effects.clear();
             h.tick();
+            h.tick();
+            let sent_after = h
+                .effects
+                .iter()
+                .filter(|e| matches!(e, Effect::Flit { .. }))
+                .count();
+            assert_eq!(sent_after, 1);
         }
-        let sent = h
-            .effects
-            .iter()
-            .filter(|e| matches!(e, Effect::Flit { .. }))
-            .count();
-        // Only `depth` flits may leave before credits run out.
-        assert_eq!(sent, depth as usize);
-        // Returning one credit lets exactly one more through.
-        h.router.return_credit(PortId(0), VcId(0), h.config.depth_per_vc() as u16);
-        h.effects.clear();
-        h.tick();
-        h.tick();
-        let sent_after = h
-            .effects
-            .iter()
-            .filter(|e| matches!(e, Effect::Flit { .. }))
-            .count();
-        assert_eq!(sent_after, 1);
     }
 
     #[test]
     fn disabled_link_blocks_switch_allocation() {
-        let mut h = Harness::new();
-        h.links[0].disable_until(Picos::from_us(1));
-        for f in packet_to(NodeId(0), 1).into_flits() {
-            h.router.accept_flit(PortId(1), VcId(0), f);
-        }
-        for _ in 0..10 {
+        for mut h in Harness::both() {
+            h.links[0].disable_until(Picos::from_us(1));
+            for f in packet_to(NodeId(0), 1).into_flits() {
+                h.router.accept_flit(PortId(1), VcId(0), f);
+            }
+            for _ in 0..10 {
+                h.tick();
+            }
+            assert!(h.effects.iter().all(|e| !matches!(e, Effect::Flit { .. })));
+            // After the disable window the flit flows.
+            while h.now < Picos::from_us(1) {
+                h.tick();
+            }
             h.tick();
-        }
-        assert!(h.effects.iter().all(|e| !matches!(e, Effect::Flit { .. })));
-        // After the disable window the flit flows.
-        while h.now < Picos::from_us(1) {
             h.tick();
+            assert!(h.effects.iter().any(|e| matches!(e, Effect::Flit { .. })));
         }
-        h.tick();
-        h.tick();
-        assert!(h.effects.iter().any(|e| matches!(e, Effect::Flit { .. })));
     }
 
     #[test]
     fn slow_link_spaces_flits_by_serialization_time() {
-        let mut h = Harness::new();
-        h.links[0].begin_rate_change(Picos::ZERO, Gbps::from_gbps(5.0), Picos::ZERO);
-        for f in packet_to(NodeId(0), 2).into_flits() {
-            h.router.accept_flit(PortId(1), VcId(0), f);
+        for mut h in Harness::both() {
+            h.links[0].begin_rate_change(Picos::ZERO, Gbps::from_gbps(5.0), Picos::ZERO);
+            for f in packet_to(NodeId(0), 2).into_flits() {
+                h.router.accept_flit(PortId(1), VcId(0), f);
+            }
+            for _ in 0..10 {
+                h.tick();
+            }
+            let departures: Vec<Picos> = h
+                .effects
+                .iter()
+                .filter_map(|e| match e {
+                    Effect::Flit { at, .. } => Some(*at),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(departures.len(), 2);
+            // At 5 Gb/s a 16-bit flit takes 3200 ps = 2 cycles.
+            assert_eq!(departures[1] - departures[0], Picos::from_ps(3200));
         }
-        for _ in 0..10 {
-            h.tick();
-        }
-        let departures: Vec<Picos> = h
-            .effects
-            .iter()
-            .filter_map(|e| match e {
-                Effect::Flit { at, .. } => Some(*at),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(departures.len(), 2);
-        // At 5 Gb/s a 16-bit flit takes 3200 ps = 2 cycles.
-        assert_eq!(departures[1] - departures[0], Picos::from_ps(3200));
     }
 
     #[test]
     fn occupancy_accumulates() {
-        let mut h = Harness::new();
-        for f in packet_to(NodeId(0), 2).into_flits() {
-            h.router.accept_flit(PortId(1), VcId(0), f);
+        for mut h in Harness::both() {
+            for f in packet_to(NodeId(0), 2).into_flits() {
+                h.router.accept_flit(PortId(1), VcId(0), f);
+            }
+            h.tick();
+            assert_eq!(h.router.inputs[1].take_occupancy_accum(), 2);
+            assert_eq!(h.router.inputs[1].take_occupancy_accum(), 0);
         }
-        h.tick();
-        assert_eq!(h.router.inputs[1].take_occupancy_accum(), 2);
-        assert_eq!(h.router.inputs[1].take_occupancy_accum(), 0);
     }
 
     #[test]
     #[should_panic(expected = "credit overflow")]
     fn credit_overflow_detected() {
-        let mut h = Harness::new();
+        let mut h = Harness::new(true);
         let depth = h.config.depth_per_vc() as u16;
         h.router.return_credit(PortId(0), VcId(0), depth);
     }

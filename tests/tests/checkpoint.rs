@@ -99,27 +99,31 @@ fn fingerprint(r: &RunResult) -> (Vec<u64>, String, String) {
     )
 }
 
+fn uniform(rate: f64) -> Workload {
+    Workload::Uniform {
+        rate,
+        size: PacketSize::Fixed(4),
+    }
+}
+
 /// Runs the experiment unbroken and split-at-`save_cycle` (through a real
 /// file), asserting the split run reproduces the unbroken run bit for bit
 /// at every requested shard count.
 fn assert_split_invariant(
     config: SystemConfig,
     save_cycle: u64,
-    rate: f64,
+    workload: Workload,
     shard_counts: &[usize],
     tag: &str,
 ) {
     let exp = experiment(config);
-    let unbroken = exp.clone().run_uniform(rate, PacketSize::Fixed(4));
+    let run = |exp: Experiment| Point::new(tag, exp, workload.clone()).run_at_index(0);
+    let unbroken = run(exp.clone());
     let want = fingerprint(&unbroken);
-    // Under LUMEN_TEST_CHECKPOINT=1 even the "unbroken" reference run
-    // is routed through an in-memory save/resume split, so its
-    // provenance flag is legitimately set.
-    let env_split = std::env::var("LUMEN_TEST_CHECKPOINT").is_ok_and(|v| v == "1");
-    assert_eq!(unbroken.resumed, env_split);
+    assert!(!unbroken.resumed);
 
     for &s in shard_counts {
-        let sharded = exp.clone().shards(s).run_uniform(rate, PacketSize::Fixed(4));
+        let sharded = run(exp.clone().shards(s));
         assert_eq!(
             fingerprint(&sharded),
             want,
@@ -128,16 +132,13 @@ fn assert_split_invariant(
     }
 
     let path = ckpt_path(tag);
-    let first = exp
-        .clone()
-        .save_at(save_cycle, &path)
-        .run_uniform(rate, PacketSize::Fixed(4));
+    let first = run(exp.clone().save_at(save_cycle, &path));
     assert_eq!(
         fingerprint(&first),
         want,
         "{tag}: the saving run itself diverged"
     );
-    let resumed = exp.resume(&path).run_uniform(rate, PacketSize::Fixed(4));
+    let resumed = run(exp.resume(&path));
     std::fs::remove_file(&path).ok();
     assert!(resumed.resumed, "{tag}: provenance flag missing");
     assert_eq!(
@@ -149,16 +150,36 @@ fn assert_split_invariant(
 
 #[test]
 fn split_matches_unbroken_on_every_fabric() {
-    for (kind, tag) in [
-        (TopologyKind::Mesh, "mesh"),
-        (TopologyKind::Torus, "torus"),
-        (TopologyKind::FoldedClos { spines: 2 }, "clos"),
+    let mut three_level = config_for(TopologyKind::Mesh, Mode::Dvs, true, 35);
+    three_level.policy.optical_mode = OpticalMode::ThreeLevel;
+    let datacenter = Workload::Datacenter {
+        config: DatacenterConfig {
+            diurnal_period_cycles: 2_000,
+            incast_period_cycles: 500,
+            ..DatacenterConfig::web_like(2)
+        },
+    };
+    for (config, workload, tag) in [
+        (config_for(TopologyKind::Mesh, Mode::Dvs, true, 33), uniform(0.15), "mesh"),
+        (config_for(TopologyKind::Torus, Mode::Dvs, true, 33), uniform(0.15), "torus"),
+        (
+            config_for(TopologyKind::FoldedClos { spines: 2 }, Mode::Dvs, true, 33),
+            uniform(0.15),
+            "clos",
+        ),
+        // Laser decisions and their pending optical transitions.
+        (three_level, uniform(0.15), "three-level"),
+        // Datacenter flow gates, server queues, and incast cursors.
+        (
+            config_for(TopologyKind::Mesh, Mode::Dvs, true, 37),
+            datacenter,
+            "datacenter",
+        ),
     ] {
         // Mid-measurement save, faults on, DVS policy — the hard case:
         // RNG streams, fault windows, in-flight transitions, and
         // telemetry retention all cross the checkpoint boundary.
-        let config = config_for(kind, Mode::Dvs, true, 33);
-        assert_split_invariant(config, WARMUP + MEASURE / 2, 0.15, &[1, 2, 4], tag);
+        assert_split_invariant(config, WARMUP + MEASURE / 2, workload, &[1, 2, 4], tag);
     }
 }
 
@@ -167,20 +188,20 @@ fn split_inside_warmup_matches_unbroken() {
     // Saving before `begin_measurement` exercises the resume path that
     // must still run the warmup boundary itself.
     let config = config_for(TopologyKind::Mesh, Mode::Dvs, false, 7);
-    assert_split_invariant(config, WARMUP / 2, 0.2, &[2], "warmup-split");
+    assert_split_invariant(config, WARMUP / 2, uniform(0.2), &[2], "warmup-split");
 }
 
 #[test]
 fn split_under_onoff_gating_matches_unbroken() {
     // Sleeping links, pending wakes, and gate counters cross the save.
     let config = config_for(TopologyKind::Mesh, Mode::OnOff, false, 19);
-    assert_split_invariant(config, WARMUP + MEASURE / 3, 0.05, &[2], "onoff");
+    assert_split_invariant(config, WARMUP + MEASURE / 3, uniform(0.05), &[2], "onoff");
 }
 
 #[test]
 fn split_non_power_aware_matches_unbroken() {
     let config = config_for(TopologyKind::Mesh, Mode::NonPa, true, 23);
-    assert_split_invariant(config, WARMUP + MEASURE / 2, 0.25, &[4], "nonpa");
+    assert_split_invariant(config, WARMUP + MEASURE / 2, uniform(0.25), &[4], "nonpa");
 }
 
 proptest! {

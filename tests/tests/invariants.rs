@@ -10,9 +10,14 @@ use lumen_traffic::TrafficSource;
 // 64 fixed deterministic cases, no shrinking, no PROPTEST_* reproduction.
 use proptest::prelude::*;
 
-fn small_config(seed: u64, vcs: u8, tw: u64) -> SystemConfig {
+/// The small fabrics every test here runs on: the 2×2 mesh and the
+/// 2×2 torus (wrap channels on every port).
+const FABRICS: [TopologyKind; 2] = [TopologyKind::Mesh, TopologyKind::Torus];
+
+fn small_config(kind: TopologyKind, seed: u64, vcs: u8, tw: u64) -> SystemConfig {
     let mut c = SystemConfig::paper_default().with_seed(seed);
     c.noc = NocConfig::small_for_tests();
+    c.noc.topology = kind;
     c.noc.vcs = vcs;
     c.policy.timing.tw_cycles = tw;
     c
@@ -28,22 +33,24 @@ proptest! {
         size in 1u32..10,
         vcs in 1u8..3,
     ) {
-        let config = small_config(seed, vcs, 200);
-        let source = Box::new(SyntheticSource::new(
-            &config.noc,
-            Pattern::Uniform,
-            RateProfile::Phases(vec![(1_000, rate), (200_000, 0.0)]),
-            PacketSize::Fixed(size),
-            Rng::seed_from(seed),
-        ));
-        let mut engine = PowerAwareSim::build_engine(config, source, None);
-        engine.run_until(Picos::from_ps(1600 * 21_000));
-        let net = engine.model().network();
-        prop_assert!(net.is_quiescent(), "undrained network (seed {seed})");
-        prop_assert_eq!(
-            net.packets_delivered(),
-            engine.model().packets_injected_measured()
-        );
+        for kind in FABRICS {
+            let config = small_config(kind, seed, vcs, 200);
+            let source = Box::new(SyntheticSource::new(
+                &config.noc,
+                Pattern::Uniform,
+                RateProfile::Phases(vec![(1_000, rate), (200_000, 0.0)]),
+                PacketSize::Fixed(size),
+                Rng::seed_from(seed),
+            ));
+            let mut engine = PowerAwareSim::build_engine(config, source, None);
+            engine.run_until(Picos::from_ps(1600 * 21_000));
+            let net = engine.model().network();
+            prop_assert!(net.is_quiescent(), "undrained network (seed {seed})");
+            prop_assert_eq!(
+                net.packets_delivered(),
+                engine.model().packets_injected_measured()
+            );
+        }
     }
 
     #[test]
@@ -52,17 +59,19 @@ proptest! {
         rate in 0.01f64..0.8,
         tw in 100u64..600,
     ) {
-        let config = small_config(seed, 1, tw);
-        let floor = config
-            .link_model()
-            .normalized_power(config.policy.ladder.point_at(0));
-        let r = Experiment::new(config)
-            .warmup_cycles(500)
-            .measure_cycles(3_000)
-            .run_uniform(rate, PacketSize::Fixed(4));
-        prop_assert!(r.normalized_power >= floor - 1e-9);
-        prop_assert!(r.normalized_power <= 1.0 + 1e-9);
-        prop_assert!(r.avg_latency_cycles >= 0.0);
+        for kind in FABRICS {
+            let config = small_config(kind, seed, 1, tw);
+            let floor = config
+                .link_model()
+                .normalized_power(config.policy.ladder.point_at(0));
+            let r = Experiment::new(config)
+                .warmup_cycles(500)
+                .measure_cycles(3_000)
+                .run_uniform(rate, PacketSize::Fixed(4));
+            prop_assert!(r.normalized_power >= floor - 1e-9);
+            prop_assert!(r.normalized_power <= 1.0 + 1e-9);
+            prop_assert!(r.avg_latency_cycles >= 0.0);
+        }
     }
 
     #[test]
@@ -178,33 +187,35 @@ proptest! {
 /// flit/credit audit clean (injected == delivered, credits at rest).
 #[test]
 fn all_patterns_drain_and_conserve_flits() {
-    let geometry = small_config(0, 2, 200).noc;
-    let patterns = [
-        ("uniform", Pattern::Uniform),
-        ("hotspot", Pattern::paper_hotspot(&geometry)),
-        ("transpose", Pattern::Transpose),
-        ("bit-complement", Pattern::BitComplement),
-        ("tornado", Pattern::Tornado),
-    ];
-    for (i, (name, pattern)) in patterns.into_iter().enumerate() {
-        let config = small_config(70 + i as u64, 2, 200);
-        let source = Box::new(SyntheticSource::new(
-            &config.noc,
-            pattern,
-            RateProfile::Phases(vec![(2_000, 0.3), (200_000, 0.0)]),
-            PacketSize::Uniform(1, 8),
-            Rng::seed_from(70 + i as u64),
-        ));
-        let mut engine = PowerAwareSim::build_engine(config, source, None);
-        engine.run_until(Picos::from_ps(1600 * 40_000));
-        let net = engine.model().network();
-        assert!(net.is_quiescent(), "{name}: network did not drain");
-        lumen_noc::audit_quiescent(net).assert_ok();
-        assert_eq!(
-            net.packets_delivered(),
-            engine.model().packets_injected_measured(),
-            "{name}: delivered != injected"
-        );
+    for kind in FABRICS {
+        let geometry = small_config(kind, 0, 2, 200).noc;
+        let patterns = [
+            ("uniform", Pattern::Uniform),
+            ("hotspot", Pattern::paper_hotspot(&geometry)),
+            ("transpose", Pattern::Transpose),
+            ("bit-complement", Pattern::BitComplement),
+            ("tornado", Pattern::Tornado),
+        ];
+        for (i, (name, pattern)) in patterns.into_iter().enumerate() {
+            let config = small_config(kind, 70 + i as u64, 2, 200);
+            let source = Box::new(SyntheticSource::new(
+                &config.noc,
+                pattern,
+                RateProfile::Phases(vec![(2_000, 0.3), (200_000, 0.0)]),
+                PacketSize::Uniform(1, 8),
+                Rng::seed_from(70 + i as u64),
+            ));
+            let mut engine = PowerAwareSim::build_engine(config, source, None);
+            engine.run_until(Picos::from_ps(1600 * 40_000));
+            let net = engine.model().network();
+            assert!(net.is_quiescent(), "{name}: network did not drain");
+            lumen_noc::audit_quiescent(net).assert_ok();
+            assert_eq!(
+                net.packets_delivered(),
+                engine.model().packets_injected_measured(),
+                "{name}: delivered != injected"
+            );
+        }
     }
 }
 
@@ -212,17 +223,19 @@ fn all_patterns_drain_and_conserve_flits() {
 /// non-power-aware baseline (exercises the fixed-rate path of the audit).
 #[test]
 fn baseline_bursty_profile_drains_and_conserves() {
-    let config = small_config(99, 1, 200).non_power_aware();
-    let source = Box::new(SyntheticSource::new(
-        &config.noc,
-        Pattern::Uniform,
-        RateProfile::Phases(vec![(500, 0.6), (500, 0.05), (500, 0.6), (200_000, 0.0)]),
-        PacketSize::Fixed(5),
-        Rng::seed_from(99),
-    ));
-    let mut engine = PowerAwareSim::build_engine(config, source, None);
-    engine.run_until(Picos::from_ps(1600 * 40_000));
-    let net = engine.model().network();
-    assert!(net.is_quiescent(), "baseline burst did not drain");
-    lumen_noc::audit_quiescent(net).assert_ok();
+    for kind in FABRICS {
+        let config = small_config(kind, 99, 1, 200).non_power_aware();
+        let source = Box::new(SyntheticSource::new(
+            &config.noc,
+            Pattern::Uniform,
+            RateProfile::Phases(vec![(500, 0.6), (500, 0.05), (500, 0.6), (200_000, 0.0)]),
+            PacketSize::Fixed(5),
+            Rng::seed_from(99),
+        ));
+        let mut engine = PowerAwareSim::build_engine(config, source, None);
+        engine.run_until(Picos::from_ps(1600 * 40_000));
+        let net = engine.model().network();
+        assert!(net.is_quiescent(), "baseline burst did not drain");
+        lumen_noc::audit_quiescent(net).assert_ok();
+    }
 }

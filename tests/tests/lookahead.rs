@@ -10,7 +10,10 @@
 //! one-cycle-window protocol as a regression anchor.
 
 use lumen_core::prelude::*;
+use lumen_core::run_sharded_with;
+use lumen_desim::Rng;
 use lumen_noc::TopologyKind;
+use lumen_policy::OnOffConfig;
 // `proptest` here is the vendored stand-in (vendor/proptest, v0.0.0-lumen):
 // 64 fixed deterministic cases, no shrinking, no PROPTEST_* reproduction.
 use proptest::prelude::*;
@@ -90,8 +93,9 @@ fn assert_cap_invariant(config: SystemConfig, shards: usize, cap: u64, rate: f64
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Random topology × shard count × lookahead cap: the stretched
-    /// protocol is bit-identical to the sequential engine. Caps above
+    /// Random topology × shard count × lookahead cap × link policy ×
+    /// optical mode × faults: the stretched protocol is bit-identical to
+    /// the sequential engine. Caps above
     /// the static bound clamp to it, so high caps exercise the
     /// automatic window sizing and cap 1 the degenerate protocol.
     #[test]
@@ -105,8 +109,26 @@ proptest! {
         cap in 1u64..8,
         rate_milli in 20u64..250,
         pa in 0u8..2,
+        onoff in 0u8..2,
+        three_level in 0u8..2,
+        faults in 0u8..2,
     ) {
-        let config = config_for(kind, seed, width, height, vcs, pa == 1);
+        let mut config = config_for(kind, seed, width, height, vcs, pa == 1);
+        if onoff == 1 {
+            config.policy = config.policy.with_onoff(OnOffConfig::reference_default());
+        }
+        if three_level == 1 {
+            config.policy.optical_mode = OpticalMode::ThreeLevel;
+        }
+        if faults == 1 {
+            config.faults = FaultConfig {
+                outage_mtbf_cycles: 400,
+                outage_mean_duration_cycles: 3,
+                dropout_mtbf_cycles: 400,
+                dropout_mean_duration_cycles: 3,
+                ..FaultConfig::disabled()
+            };
+        }
         assert_cap_invariant(config, shards, cap, rate_milli as f64 / 1_000.0);
     }
 }
@@ -146,5 +168,60 @@ fn forced_single_cycle_windows_pin_the_old_protocol() {
         assert_eq!(run.latency_series, seq.latency_series, "{tag}");
         assert_eq!(run.power_series, seq.power_series, "{tag}");
         assert_eq!(run.injection_series, seq.injection_series, "{tag}");
+    }
+}
+
+/// Barriers the one-cycle-window protocol crossed on a run of
+/// `total + 1` ticks: one per tick, plus a second on every DVS close
+/// `(k + 1) % tw == 0` and on the warmup and end publish ticks unless
+/// they already coincided with a close.
+fn one_cycle_window_barriers(warmup: u64, total: u64, tw: Option<u64>) -> u64 {
+    let closes = tw.map_or(0, |w| (total + 1) / w);
+    let publishes = [warmup, total]
+        .iter()
+        .filter(|&&k| tw.is_none_or(|w| (k + 1) % w != 0))
+        .count() as u64;
+    (total + 1) + closes + publishes
+}
+
+/// The point of stretching: at 2 shards the clock-gated protocol stops
+/// only at mandatory stops, so it crosses at least 4× fewer barriers
+/// than the one-cycle-window protocol did. Barrier counts are
+/// deterministic (one per stop, at any cap), so this is exact
+/// arithmetic, not a timing measurement.
+#[test]
+fn stretched_windows_cross_4x_fewer_barriers() {
+    let (warmup, measure) = (400, 3_000);
+    for pa in [false, true] {
+        let config = config_for(0, 7, 3, 4, 2, pa);
+        let tw = pa.then_some(config.policy.timing.tw_cycles);
+        let run = |cap: Option<u64>| {
+            let source = Box::new(SyntheticSource::new(
+                &config.noc,
+                Pattern::Uniform,
+                RateProfile::Constant(0.12),
+                PacketSize::Fixed(4),
+                Rng::seed_from(config.seed),
+            ));
+            run_sharded_with(
+                config.clone(),
+                source,
+                None,
+                TelemetryConfig::default(),
+                warmup,
+                measure,
+                2,
+                cap,
+                RouteTableMode::Auto,
+            )
+        };
+        let stretched = run(None);
+        assert_eq!(stretched.barriers, run(Some(1)).barriers, "pa {pa}");
+        let old = one_cycle_window_barriers(warmup, warmup + measure, tw);
+        assert!(
+            old >= 4 * stretched.barriers,
+            "pa {pa}: {} barriers vs {old} for one-cycle windows",
+            stretched.barriers
+        );
     }
 }

@@ -10,17 +10,22 @@
 //!   on-the-fly `route_candidates` oracle for *every* `(router, node)`
 //!   pair, in the same candidate order (adaptive tie-breaks select by
 //!   position, so order equality — not set equality — is the contract);
-//! - **bit identity** — a full power-aware system run produces
-//!   bit-identical `RunResult`s with the table enabled (`Auto`), shared
-//!   explicitly (`Shared`), and disabled (`Off`), sequential and
-//!   sharded, exactly like shard count and lookahead never change
-//!   results.
+//! - **bit identity** — a full system run produces bit-identical
+//!   results with the table enabled (`Auto`), shared explicitly
+//!   (`Shared`), and disabled (`Off`), sequential and sharded, on every
+//!   fabric, link policy, optical mode, fault schedule, and traffic
+//!   family the suite uses — exactly like shard count and lookahead
+//!   never change results.
 
 use std::sync::Arc;
 
 use lumen_core::prelude::*;
+use lumen_core::{run_sharded_with, ShardedOutcome};
+use lumen_desim::Rng;
 use lumen_noc::routing::{route_candidates, RoutingAlgorithm};
 use lumen_noc::{NocConfig, NodeId, PortId, RouteTable, RouterId, TopologyKind};
+use lumen_policy::OnOffConfig;
+use lumen_traffic::{DatacenterSource, TrafficSource};
 // `proptest` here is the vendored stand-in (vendor/proptest, v0.0.0-lumen):
 // 64 fixed deterministic cases, no shrinking, no PROPTEST_* reproduction.
 use proptest::prelude::*;
@@ -120,69 +125,170 @@ proptest! {
     }
 }
 
-/// Asserts two runs are bit-identical in every metric the recorded
-/// harnesses serialize (f64s compared by bit pattern, not value).
-fn assert_bit_identical(a: &RunResult, b: &RunResult, what: &str) {
-    assert_eq!(a.packets_injected, b.packets_injected, "{what}: injected");
-    assert_eq!(a.packets_delivered, b.packets_delivered, "{what}: delivered");
-    assert_eq!(a.packets_dropped, b.packets_dropped, "{what}: dropped");
-    assert_eq!(
-        a.avg_latency_cycles.to_bits(),
-        b.avg_latency_cycles.to_bits(),
-        "{what}: avg latency"
-    );
-    assert_eq!(
-        a.p99_latency_cycles.to_bits(),
-        b.p99_latency_cycles.to_bits(),
-        "{what}: p99 latency"
-    );
-    assert_eq!(
-        a.avg_power_mw.to_bits(),
-        b.avg_power_mw.to_bits(),
-        "{what}: power"
-    );
-    assert_eq!(
-        a.normalized_power.to_bits(),
-        b.normalized_power.to_bits(),
-        "{what}: normalized power"
-    );
-    assert_eq!(a.transitions, b.transitions, "{what}: transitions");
+/// The traffic a bit-identity case drives.
+#[derive(Clone, Copy, Debug)]
+enum Traffic {
+    /// Uniform-random synthetic traffic at this rate (packets/cycle).
+    Uniform(f64),
+    /// Request/response datacenter traffic with incast bursts.
+    Datacenter,
 }
 
-/// A small full system (power policy on, conservation audited) for the
-/// bit-identity runs below.
-fn experiment(kind: TopologyKind, seed: u64) -> Experiment {
+impl Traffic {
+    fn source(self, config: &SystemConfig) -> Box<dyn TrafficSource + Send> {
+        let rng = Rng::seed_from(config.seed);
+        match self {
+            Traffic::Uniform(rate) => Box::new(SyntheticSource::new(
+                &config.noc,
+                Pattern::Uniform,
+                RateProfile::Constant(rate),
+                PacketSize::Fixed(4),
+                rng,
+            )),
+            Traffic::Datacenter => Box::new(DatacenterSource::new(
+                &config.noc,
+                DatacenterConfig {
+                    diurnal_period_cycles: 2_000,
+                    incast_period_cycles: 500,
+                    ..DatacenterConfig::web_like(8)
+                },
+                rng,
+            )),
+        }
+    }
+}
+
+/// One bit-identity case: a small full system (power policy on unless
+/// the case says otherwise) and what runs through it.
+struct Case {
+    tag: &'static str,
+    config: SystemConfig,
+    traffic: Traffic,
+    telemetry: TelemetryConfig,
+    sample_every: Option<u64>,
+}
+
+fn case(tag: &'static str, kind: TopologyKind, seed: u64) -> Case {
     let mut config = SystemConfig::paper_default().with_seed(seed);
     config.noc = noc(kind, 4, 4, 2);
     config.policy.timing.tw_cycles = 200;
-    Experiment::new(config)
-        .warmup_cycles(400)
-        .measure_cycles(3_000)
-        .audit_conservation()
+    Case {
+        tag,
+        config,
+        traffic: Traffic::Uniform(0.15),
+        telemetry: TelemetryConfig::default(),
+        sample_every: None,
+    }
 }
 
-/// The route table never changes results: `Auto`, `Off`, and an
-/// explicitly pre-built `Shared` table replay bit-identically on the
-/// sequential engine.
+/// Every feature the rest of the suite drives through `Experiment`:
+/// each fabric, each link policy, both optical modes, faults,
+/// telemetry, sampling, and both traffic families.
+fn cases() -> Vec<Case> {
+    let mut onoff = case("on/off gating", TopologyKind::Mesh, 37);
+    onoff.config.policy = onoff
+        .config
+        .policy
+        .with_onoff(OnOffConfig::reference_default());
+    let mut non_pa = case("non-power-aware", TopologyKind::Mesh, 41);
+    non_pa.config.power_aware = false;
+    let mut observed = case(
+        "three-level optics, faults, telemetry",
+        TopologyKind::Mesh,
+        43,
+    );
+    observed.config.policy.optical_mode = OpticalMode::ThreeLevel;
+    observed.config.faults = FaultConfig {
+        outage_mtbf_cycles: 600,
+        outage_mean_duration_cycles: 40,
+        dropout_mtbf_cycles: 900,
+        dropout_mean_duration_cycles: 60,
+        ..FaultConfig::disabled()
+    };
+    observed.telemetry = TelemetryConfig::full();
+    observed.sample_every = Some(500);
+    let mut datacenter = case("datacenter traffic", TopologyKind::Mesh, 47);
+    datacenter.traffic = Traffic::Datacenter;
+    vec![
+        case("mesh", TopologyKind::Mesh, 29),
+        case("torus", TopologyKind::Torus, 29),
+        case("folded clos", TopologyKind::FoldedClos { spines: 2 }, 31),
+        onoff,
+        non_pa,
+        observed,
+        datacenter,
+    ]
+}
+
+/// Everything a run reports, in comparable form: exact counters, float
+/// bits, sampled series, and the exported trace bytes.
+fn fingerprint(outcome: ShardedOutcome) -> (Vec<u64>, String) {
+    let ShardedOutcome {
+        mut sim,
+        end,
+        events,
+        ..
+    } = outcome;
+    lumen_noc::audit(sim.network()).assert_ok();
+    let trace = sim
+        .take_telemetry_report(end, events)
+        .map_or_else(String::new, |t| t.to_jsonl());
+    let latency = sim.latency_summary();
+    let series = format!("{:?}", sim.series());
+    (
+        vec![
+            sim.packets_injected_measured(),
+            latency.count(),
+            latency.mean().to_bits(),
+            sim.average_power(end).as_mw().to_bits(),
+            sim.transitions(),
+            sim.packets_dropped_measured(),
+            sim.flits_dropped_measured(),
+            sim.flits_corrupted_measured(),
+            sim.link_faults_measured(),
+        ],
+        trace + &series,
+    )
+}
+
+/// Runs `case` at `shards` under every route-table mode and asserts the
+/// table-backed runs (`Auto`, and an explicitly pre-built `Shared`
+/// table) replay the on-the-fly oracle (`Off`) bit for bit.
+fn assert_modes_identical(case: &Case, shards: usize) {
+    let table = Arc::new(RouteTable::build(&case.config.noc, case.config.noc.routing));
+    let run = |mode: RouteTableMode| {
+        fingerprint(run_sharded_with(
+            case.config.clone(),
+            case.traffic.source(&case.config),
+            case.sample_every,
+            case.telemetry,
+            400,
+            3_000,
+            shards,
+            None,
+            mode,
+        ))
+    };
+    let off = run(RouteTableMode::Off);
+    assert!(off.0[1] > 0, "{}: nothing delivered", case.tag);
+    for (name, mode) in [
+        ("auto", RouteTableMode::Auto),
+        ("shared", RouteTableMode::Shared(table)),
+    ] {
+        assert_eq!(
+            run(mode),
+            off,
+            "{}: {name} vs off at {shards} shards",
+            case.tag
+        );
+    }
+}
+
+/// The route table never changes results on the sequential engine.
 #[test]
 fn table_modes_replay_bit_identically_sequential() {
-    for kind in [TopologyKind::Mesh, TopologyKind::Torus] {
-        let exp = experiment(kind, 29);
-        let auto = exp.clone().run_uniform(0.15, PacketSize::Fixed(4));
-        assert!(auto.packets_delivered > 0);
-        let off = exp
-            .clone()
-            .route_table(RouteTableMode::Off)
-            .run_uniform(0.15, PacketSize::Fixed(4));
-        assert_bit_identical(&auto, &off, "auto vs off");
-        let table = Arc::new(RouteTable::build(
-            &exp.config().noc,
-            exp.config().noc.routing,
-        ));
-        let shared = exp
-            .route_table(RouteTableMode::Shared(table))
-            .run_uniform(0.15, PacketSize::Fixed(4));
-        assert_bit_identical(&auto, &shared, "auto vs shared");
+    for case in cases() {
+        assert_modes_identical(&case, 1);
     }
 }
 
@@ -190,12 +296,7 @@ fn table_modes_replay_bit_identically_sequential() {
 /// workers share one `Arc`'d table and still match the table-off run.
 #[test]
 fn table_modes_replay_bit_identically_sharded() {
-    let exp = experiment(TopologyKind::Mesh, 31);
-    let on = exp.clone().shards(2).run_uniform(0.15, PacketSize::Fixed(4));
-    assert!(on.packets_delivered > 0);
-    let off = exp
-        .shards(2)
-        .route_table(RouteTableMode::Off)
-        .run_uniform(0.15, PacketSize::Fixed(4));
-    assert_bit_identical(&on, &off, "sharded on vs off");
+    for case in cases() {
+        assert_modes_identical(&case, 2);
+    }
 }

@@ -3,12 +3,14 @@
 //! The contract under test: for every configuration and shard count, the
 //! sharded engine produces results **bit-identical** to the sequential
 //! engine — same deliveries, same latencies, same energy, same policy
-//! transitions. These tests sweep random small meshes and traffic and
+//! transitions. These tests sweep random small meshes, link policies
+//! (DVS, on/off gating, none), optical modes, and traffic families, and
 //! compare shard counts {1, 2, 4} (clamped to the mesh height) against
 //! the sequential run, plus a fault-injection run whose outages span
 //! shard boundaries, with the flit/credit conservation auditor on.
 
 use lumen_core::prelude::*;
+use lumen_policy::OnOffConfig;
 // `proptest` here is the vendored stand-in (vendor/proptest, v0.0.0-lumen):
 // 64 fixed deterministic cases, no shrinking, no PROPTEST_* reproduction.
 use proptest::prelude::*;
@@ -28,30 +30,27 @@ fn mesh_config(seed: u64, width: u8, height: u8, npr: u8, vcs: u8, pa: bool) -> 
     c
 }
 
-/// Runs `config` under uniform traffic at every shard count in
-/// {1, 2, 4} (clamped to the mesh height) and asserts each sharded
-/// result is bit-identical to the sequential one. Debug builds (all
-/// `cargo test` runs) also run the conservation auditor on every run.
-fn assert_shard_invariant(config: SystemConfig, rate: f64) {
+/// Runs `config` under `workload` at every shard count in {1, 2, 4}
+/// (clamped to the mesh height) and asserts each sharded result is
+/// bit-identical to the sequential one. Debug builds (all `cargo test`
+/// runs) also run the conservation auditor on every run.
+fn assert_shard_invariant(config: SystemConfig, workload: Workload) {
     let exp = Experiment::new(config)
         .warmup_cycles(400)
         .measure_cycles(2_500)
         .audit_conservation();
-    let seq = exp
-        .clone()
-        .shards(1)
-        .run_uniform(rate, PacketSize::Fixed(4));
+    let run = |shards: usize| {
+        Point::new("differential", exp.clone().shards(shards), workload.clone()).run_at_index(0)
+    };
+    let seq = run(1);
     let height = exp.config().noc.height;
     for shards in [2usize, 4] {
         let eff = lumen_core::effective_shards(&exp.config().noc, shards);
         if eff == 1 {
             continue; // single-row mesh: nothing to split
         }
-        let par = exp
-            .clone()
-            .shards(shards)
-            .run_uniform(rate, PacketSize::Fixed(4));
-        let tag = format!("shards {shards} (eff {eff}, height {height})");
+        let par = run(shards);
+        let tag = format!("shards {shards} (eff {eff}, height {height}, {workload:?})");
         assert_eq!(par.packets_injected, seq.packets_injected, "{tag}");
         assert_eq!(par.packets_delivered, seq.packets_delivered, "{tag}");
         assert_eq!(par.packets_dropped, seq.packets_dropped, "{tag}");
@@ -81,7 +80,8 @@ fn assert_shard_invariant(config: SystemConfig, rate: f64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Random small meshes + traffic: sharded == sequential, bit for bit.
+    /// Random small meshes, link policies, optical modes, and traffic:
+    /// sharded == sequential, bit for bit.
     #[test]
     fn sharded_matches_sequential_on_random_meshes(
         seed in 0u64..1_000,
@@ -91,9 +91,33 @@ proptest! {
         vcs in 1u8..3,
         rate_milli in 20u64..300,
         pa in 0u8..2,
+        onoff in 0u8..2,
+        three_level in 0u8..2,
+        datacenter in 0u8..2,
     ) {
-        let config = mesh_config(seed, width, height, npr, vcs, pa == 1);
-        assert_shard_invariant(config, rate_milli as f64 / 1_000.0);
+        let mut config = mesh_config(seed, width, height, npr, vcs, pa == 1);
+        if onoff == 1 {
+            config.policy = config.policy.with_onoff(OnOffConfig::reference_default());
+        }
+        if three_level == 1 {
+            config.policy.optical_mode = OpticalMode::ThreeLevel;
+        }
+        let workload = if datacenter == 1 {
+            let nodes = config.noc.node_count();
+            Workload::Datacenter {
+                config: DatacenterConfig {
+                    diurnal_period_cycles: 1_500,
+                    incast_period_cycles: 500,
+                    ..DatacenterConfig::web_like(nodes / 4)
+                },
+            }
+        } else {
+            Workload::Uniform {
+                rate: rate_milli as f64 / 1_000.0,
+                size: PacketSize::Fixed(4),
+            }
+        };
+        assert_shard_invariant(config, workload);
     }
 }
 
