@@ -114,8 +114,9 @@ impl Experiment {
     /// clamped to the machine's core count (see
     /// [`crate::shard::host_shards`]). Results are bit-identical either
     /// way — shard count is a pure performance knob — so with a core per
-    /// shard this runs the requested partition (1.30–1.44× faster at 2
-    /// shards on a 2-core host, for the 32×32 datacenter mesh), and on an
+    /// shard this runs the requested partition (a paired median of 1.36×
+    /// faster at 2 shards on a 2-core host, for the 32×32 datacenter
+    /// mesh), and on an
     /// oversubscribed host it degrades toward the sequential engine
     /// instead of paying conservative-sync coordination for no
     /// parallelism.

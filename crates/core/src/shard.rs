@@ -170,12 +170,12 @@ pub fn effective_shards(noc: &NocConfig, requested: usize) -> usize {
 /// rather than a specific partition. Shard count is a pure performance
 /// knob — results are bit-identical at every count (the differential
 /// wall in `tests/tests/lookahead.rs` pins this). With a core per shard
-/// the engine pays: 2 shards of the 32×32 datacenter mesh ran
-/// 1.30–1.44× faster than sequential on a 2-core host. Running more
+/// the engine pays: 2 shards of the 32×32 datacenter mesh ran a paired
+/// median of 1.36× faster than sequential on a 2-core host. Running more
 /// shards than the host has cores can only add coordination cost:
 /// workers time-slice one core, alternating every couple of lookahead
 /// windows, and the conservative protocol's per-window gates become
-/// pure overhead (2 shards on a 1-core host measured 0.89–0.92× of
+/// pure overhead (2 shards on a 1-core host once measured 0.89–0.92× of
 /// sequential). On such hosts this returns a smaller count (down to
 /// 1 = the sequential engine). Use [`effective_shards`] (or
 /// [`Experiment::shards`](crate::runner::Experiment::shards), which

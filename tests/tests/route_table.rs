@@ -221,7 +221,8 @@ fn cases() -> Vec<Case> {
 }
 
 /// Everything a run reports, in comparable form: exact counters, float
-/// bits, sampled series, and the exported trace bytes.
+/// bits (mean and p99 latency, power), the latency histogram, sampled
+/// series, and the exported trace bytes.
 fn fingerprint(outcome: ShardedOutcome) -> (Vec<u64>, String) {
     let ShardedOutcome {
         mut sim,
@@ -234,13 +235,17 @@ fn fingerprint(outcome: ShardedOutcome) -> (Vec<u64>, String) {
         .take_telemetry_report(end, events)
         .map_or_else(String::new, |t| t.to_jsonl());
     let latency = sim.latency_summary();
-    let series = format!("{:?}", sim.series());
+    let histogram = sim.latency_histogram();
+    let series = format!("{histogram:?}{:?}", sim.series());
     (
         vec![
             sim.packets_injected_measured(),
+            sim.network().packets_delivered(),
             latency.count(),
             latency.mean().to_bits(),
+            histogram.percentile_clamped(99.0).0.to_bits(),
             sim.average_power(end).as_mw().to_bits(),
+            sim.normalized_power(end).to_bits(),
             sim.transitions(),
             sim.packets_dropped_measured(),
             sim.flits_dropped_measured(),
@@ -270,7 +275,7 @@ fn assert_modes_identical(case: &Case, shards: usize) {
         ))
     };
     let off = run(RouteTableMode::Off);
-    assert!(off.0[1] > 0, "{}: nothing delivered", case.tag);
+    assert!(off.0[2] > 0, "{}: nothing delivered", case.tag);
     for (name, mode) in [
         ("auto", RouteTableMode::Auto),
         ("shared", RouteTableMode::Shared(table)),

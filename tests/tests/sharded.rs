@@ -4,7 +4,8 @@
 //! sharded engine produces results **bit-identical** to the sequential
 //! engine — same deliveries, same latencies, same energy, same policy
 //! transitions. These tests sweep random small meshes, link policies
-//! (DVS, on/off gating, none), optical modes, and traffic families, and
+//! (DVS, on/off gating, none), optical modes, transmitters (MQW, VCSEL),
+//! and traffic families (uniform, hotspot, SPLASH, datacenter), and
 //! compare shard counts {1, 2, 4} (clamped to the mesh height) against
 //! the sequential run, plus a fault-injection run whose outages span
 //! shard boundaries, with the flit/credit conservation auditor on.
@@ -80,8 +81,11 @@ fn assert_shard_invariant(config: SystemConfig, workload: Workload) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Random small meshes, link policies, optical modes, and traffic:
-    /// sharded == sequential, bit for bit.
+    /// Random small meshes, link policies, optical modes, transmitters,
+    /// and traffic sources (uniform, hotspot, SPLASH, datacenter):
+    /// sharded == sequential, bit for bit. The 10 fixed cases reach all
+    /// four sources and both transmitters (reordering the inputs changes
+    /// the draws, so re-check coverage if you do).
     #[test]
     fn sharded_matches_sequential_on_random_meshes(
         seed in 0u64..1_000,
@@ -93,7 +97,8 @@ proptest! {
         pa in 0u8..2,
         onoff in 0u8..2,
         three_level in 0u8..2,
-        datacenter in 0u8..2,
+        source in 0u8..4,
+        vcsel in 0u8..2,
     ) {
         let mut config = mesh_config(seed, width, height, npr, vcs, pa == 1);
         if onoff == 1 {
@@ -102,19 +107,26 @@ proptest! {
         if three_level == 1 {
             config.policy.optical_mode = OpticalMode::ThreeLevel;
         }
-        let workload = if datacenter == 1 {
-            let nodes = config.noc.node_count();
-            Workload::Datacenter {
-                config: DatacenterConfig {
-                    diurnal_period_cycles: 1_500,
-                    incast_period_cycles: 500,
-                    ..DatacenterConfig::web_like(nodes / 4)
-                },
-            }
-        } else {
-            Workload::Uniform {
+        if vcsel == 1 {
+            config = config.with_transmitter(TransmitterKind::Vcsel);
+        }
+        let size = PacketSize::Fixed(4);
+        let workload = match source {
+            0 => Workload::Uniform {
                 rate: rate_milli as f64 / 1_000.0,
-                size: PacketSize::Fixed(4),
+                size,
+            },
+            1 => Workload::Hotspot { size },
+            2 => Workload::Splash(SplashApp::ALL[(seed % 3) as usize]),
+            _ => {
+                let nodes = config.noc.node_count();
+                Workload::Datacenter {
+                    config: DatacenterConfig {
+                        diurnal_period_cycles: 1_500,
+                        incast_period_cycles: 500,
+                        ..DatacenterConfig::web_like(nodes / 4)
+                    },
+                }
             }
         };
         assert_shard_invariant(config, workload);
