@@ -32,8 +32,8 @@ fn harness() -> (NocConfig, Router, Vec<Link>, RouteTable) {
         config.propagation,
         config.max_rate,
     );
-    router.outputs[0].link = Some(LinkId(0));
-    router.inputs[1].feeder = Some(LinkId(0)); // placeholder feeder id
+    router.connect_output(PortId(0), LinkId(0));
+    router.connect_input(PortId(1), LinkId(0)); // placeholder feeder id
     let table = RouteTable::build(&config, RoutingAlgorithm::XY);
     (config, router, vec![eject], table)
 }
@@ -73,7 +73,7 @@ fn streaming_tick(c: &mut Criterion) {
                 pending.reverse();
             }
             if let Some(&flit) = pending.last() {
-                if router.inputs[1].buffer.free_slots(VcId(0)) > 0 {
+                if router.input_buffer(PortId(1)).free_slots(VcId(0)) > 0 {
                     router.accept_flit(PortId(1), VcId(0), flit);
                     pending.pop();
                 }

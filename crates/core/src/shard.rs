@@ -126,6 +126,7 @@ use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 /// Delivery keys pack `(launch_cycle << 24) | (shard << 20) | position`;
 /// sorting `(arrival time, key)` reproduces the sequential calendar's
@@ -796,6 +797,12 @@ pub struct ShardedOutcome {
     /// The static flit lookahead the run was scheduled with, in cycles
     /// (after any caller cap; 0 for the sequential path).
     pub lookahead: u64,
+    /// Wall time each worker spent simulating (inside the engine's
+    /// `run_until`), indexed by shard; one entry for the sequential path.
+    /// Waits at the clock gate and at barriers are excluded, so a spread
+    /// between workers is load imbalance: the run takes at least as long
+    /// as its busiest worker.
+    pub busy: Vec<Duration>,
 }
 
 /// Runs the system on `shards` worker threads (clamped to the
@@ -864,10 +871,12 @@ pub fn run_sharded_with(
             false,
             None,
         );
+        let started = Instant::now();
         engine.run_until(cycle * warmup_cycles);
         let now = engine.now();
         engine.model_mut().begin_measurement(now);
         engine.run_until(end);
+        let busy = vec![started.elapsed()];
         return ShardedOutcome {
             events: engine.processed(),
             end,
@@ -875,6 +884,7 @@ pub fn run_sharded_with(
             windows: 0,
             barriers: 0,
             lookahead: 0,
+            busy,
         };
     }
 
@@ -962,7 +972,7 @@ pub fn run_sharded_with(
 
     let ir_lens: Vec<usize> = specs.iter().map(|sp| sp.ir_links.len()).collect();
 
-    type WorkerResult = (PowerAwareSim, u64, Option<Coordinator>, u64, u64);
+    type WorkerResult = (PowerAwareSim, u64, Option<Coordinator>, u64, u64, Duration);
     let mut results: Vec<WorkerResult> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(s_count);
         for (s, feed) in feeds.into_iter().enumerate() {
@@ -1004,6 +1014,7 @@ pub fn run_sharded_with(
                 );
                 let mut coordinator = coordinator;
                 let (mut windows, mut barriers) = (0u64, 0u64);
+                let mut busy = Duration::ZERO;
                 // Exchange parities: the policy and publish slots flip
                 // on their own stop cadences (see the module docs).
                 let (mut pp, mut qp) = (0usize, 0usize);
@@ -1100,7 +1111,9 @@ pub fn run_sharded_with(
                         }
                     }
                     let t_k = cycle * end_k;
+                    let started = Instant::now();
                     engine.run_until(t_k);
+                    busy += started.elapsed();
                     windows += 1;
 
                     // Flush this window's cross-shard traffic, then
@@ -1227,7 +1240,14 @@ pub fn run_sharded_with(
                     start = end_k + 1;
                 }
                 let events = engine.processed();
-                (engine.into_model(), events, coordinator, windows, barriers)
+                (
+                    engine.into_model(),
+                    events,
+                    coordinator,
+                    windows,
+                    barriers,
+                    busy,
+                )
             }));
         }
         handles
@@ -1244,13 +1264,21 @@ pub fn run_sharded_with(
     // Merge: shard 0's replica adopts every other shard's owned region,
     // then reconciles cross-shard arrival counters and installs the
     // coordinator's measurement state.
-    let (mut base, mut events, coordinator, mut windows, barriers) = {
-        let (sim, ev, coord, w, b) = results.remove(0);
-        (sim, ev, coord.expect("worker 0 owns the coordinator"), w, b)
+    let (mut base, mut events, coordinator, mut windows, barriers, busy0) = {
+        let (sim, ev, coord, w, b, busy) = results.remove(0);
+        (
+            sim,
+            ev,
+            coord.expect("worker 0 owns the coordinator"),
+            w,
+            b,
+            busy,
+        )
     };
+    let mut busy = vec![busy0];
     let base_ctx = base.take_shard().expect("shard ctx");
     let mut foreign = base_ctx.foreign_arrivals;
-    for (i, (mut donor, ev, _, w, _)) in results.into_iter().enumerate() {
+    for (i, (mut donor, ev, _, w, _, donor_busy)) in results.into_iter().enumerate() {
         let donor_ctx = donor.take_shard().expect("shard ctx");
         for (l, n) in donor_ctx.foreign_arrivals.iter().enumerate() {
             foreign[l] += n;
@@ -1260,6 +1288,7 @@ pub fn run_sharded_with(
         // Window framings between stops are per-shard; report the
         // busiest worker. Barrier counts agree across workers.
         windows = windows.max(w);
+        busy.push(donor_busy);
     }
     for (l, n) in foreign.into_iter().enumerate() {
         if n > 0 {
@@ -1275,6 +1304,7 @@ pub fn run_sharded_with(
         windows,
         barriers,
         lookahead,
+        busy,
     }
 }
 
@@ -1411,6 +1441,10 @@ mod tests {
         );
         let end = seq.end;
         assert_eq!(par.end, end);
+        // One busy time per worker; every worker simulated something.
+        assert_eq!(seq.busy.len(), 1);
+        assert_eq!(par.busy.len(), 2);
+        assert!(par.busy.iter().all(|b| !b.is_zero()), "{:?}", par.busy);
         let (s, p) = (&seq.sim, &par.sim);
         assert_eq!(p.packets_injected_measured(), s.packets_injected_measured());
         assert_eq!(p.latency_summary().count(), s.latency_summary().count());

@@ -27,6 +27,7 @@
 
 use crate::link::Endpoint;
 use crate::network::Network;
+use crate::router::Router;
 use std::fmt;
 
 /// Counter snapshot plus any invariant violations found.
@@ -101,8 +102,8 @@ pub fn audit(net: &Network) -> AuditReport {
         .sum();
     let flits_buffered: u64 = net
         .routers()
-        .flat_map(|r| r.inputs.iter())
-        .map(|p| p.buffer.total_occupancy() as u64)
+        .flat_map(Router::input_buffers)
+        .map(|b| b.total_occupancy() as u64)
         .sum();
     let flits_received: u64 = net.sinks().map(|s| s.flits_received).sum();
     let flits_delivered: u64 = net.sinks().map(|s| s.flits_delivered).sum();
@@ -124,9 +125,8 @@ pub fn audit(net: &Network) -> AuditReport {
 
     for router in net.routers() {
         let buffered: u64 = router
-            .inputs
-            .iter()
-            .map(|p| p.buffer.total_occupancy() as u64)
+            .input_buffers()
+            .map(|b| b.total_occupancy() as u64)
             .sum();
         if router.flits_accepted != router.flits_switched + buffered {
             violations.push(format!(
@@ -190,14 +190,14 @@ fn check_credits(net: &Network, quiescent: bool, violations: &mut Vec<String>) {
                     u64::from(src.credits()[vc])
                 }
                 Endpoint::RouterPort { router, port } => {
-                    u64::from(net.router(router).outputs[port.0 as usize].credits[vc])
+                    u64::from(net.router(router).output_credits(port)[vc])
                 }
             };
             let occupancy = match link.to() {
                 Endpoint::Node(_) => 0, // sinks drain instantly
                 Endpoint::RouterPort { router, port } => {
-                    net.router(router).inputs[port.0 as usize]
-                        .buffer
+                    net.router(router)
+                        .input_buffer(port)
                         .len(crate::ids::VcId(vc as u8)) as u64
                 }
             };

@@ -86,6 +86,69 @@ pub struct Network {
     from_ep: Vec<Endpoint>,
     inter_router_links: usize,
     ticks: u64,
+    // The sweep's work lists: routers that are not idle and sources with
+    // queued flits. See `ActiveSet`.
+    active_routers: ActiveSet,
+    active_sources: ActiveSet,
+}
+
+/// A bitset over component indices (routers or sources) that marks the
+/// ones a tick must visit.
+///
+/// A bit is set when its component gains work (a router accepts a flit, a
+/// source is handed a packet) and cleared when a tick leaves the component
+/// with none. Idle components' ticks change no state, so visiting only set
+/// bits, in ascending index order, is the full in-order scan minus no-ops.
+#[derive(Debug, Clone)]
+struct ActiveSet {
+    words: Vec<u64>,
+}
+
+impl ActiveSet {
+    /// A set over `n` indices with index `i` marked iff `busy(i)`.
+    fn from_fn(n: usize, busy: impl Fn(usize) -> bool) -> Self {
+        let mut words = vec![0u64; n.div_ceil(64)];
+        for i in (0..n).filter(|&i| busy(i)) {
+            words[i >> 6] |= 1 << (i & 63);
+        }
+        ActiveSet { words }
+    }
+
+    #[inline]
+    fn insert(&mut self, i: usize) {
+        self.words[i >> 6] |= 1 << (i & 63);
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.words[i >> 6] >> (i & 63) & 1 == 1
+    }
+
+    /// Calls `step(i)` on every marked index in `range`, ascending, and
+    /// unmarks `i` when `step` returns false (the component went idle).
+    /// `step` must not mark other indices.
+    #[inline]
+    fn sweep(&mut self, range: std::ops::Range<usize>, mut step: impl FnMut(usize) -> bool) {
+        if range.is_empty() {
+            return;
+        }
+        let (first, last) = (range.start >> 6, (range.end - 1) >> 6);
+        for wi in first..=last {
+            let mut w = self.words[wi];
+            if wi == first {
+                w &= !0u64 << (range.start & 63);
+            }
+            if wi == last && range.end & 63 != 0 {
+                w &= (1u64 << (range.end & 63)) - 1;
+            }
+            while w != 0 {
+                let bit = w.trailing_zeros();
+                w &= w - 1;
+                if !step(wi << 6 | bit as usize) {
+                    self.words[wi] &= !(1u64 << bit);
+                }
+            }
+        }
+    }
 }
 
 impl Network {
@@ -158,8 +221,8 @@ impl Network {
                 topo.channel_latency(&ch, config.propagation),
                 config.max_rate,
             ));
-            routers[ch.from.index()].outputs[ch.from_port.0 as usize].link = Some(id);
-            routers[ch.to.index()].inputs[ch.to_port.0 as usize].feeder = Some(id);
+            routers[ch.from.index()].connect_output(ch.from_port, id);
+            routers[ch.to.index()].connect_input(ch.to_port, id);
         }
         let inter_router_links = links.len();
 
@@ -184,7 +247,7 @@ impl Network {
                 config.propagation,
                 config.max_rate,
             ));
-            routers[router.index()].inputs[local.0 as usize].feeder = Some(inj);
+            routers[router.index()].connect_input(local, inj);
             sources.push(SourceNode::new(
                 node,
                 inj,
@@ -205,12 +268,14 @@ impl Network {
                 config.propagation,
                 config.max_rate,
             ));
-            routers[router.index()].outputs[local.0 as usize].link = Some(ej);
+            routers[router.index()].connect_output(local, ej);
             sinks.push(SinkNode::new(node, ej));
         }
 
         let to_ep = links.iter().map(Link::to).collect();
         let from_ep = links.iter().map(Link::from).collect();
+        let active_routers = ActiveSet::from_fn(routers.len(), |_| false);
+        let active_sources = ActiveSet::from_fn(sources.len(), |_| false);
         Network {
             config: config.clone(),
             routers,
@@ -222,7 +287,33 @@ impl Network {
             from_ep,
             inter_router_links,
             ticks: 0,
+            active_routers,
+            active_sources,
         }
+    }
+
+    /// Rebuilds both active sets from component state (after state is
+    /// replaced wholesale: restore and shard merge).
+    fn rebuild_active_sets(&mut self) {
+        let (routers, sources) = (&self.routers, &self.sources);
+        self.active_routers = ActiveSet::from_fn(routers.len(), |r| !routers[r].is_idle());
+        self.active_sources = ActiveSet::from_fn(sources.len(), |n| sources[n].backlog_flits() > 0);
+    }
+
+    /// Whether the active sets mark exactly the non-idle routers in
+    /// `routers` and the backlogged sources in `nodes` — the invariant
+    /// every [`Network::tick_range`] leaves behind for its region.
+    fn active_sets_match(
+        &self,
+        routers: std::ops::Range<usize>,
+        nodes: std::ops::Range<usize>,
+    ) -> bool {
+        routers
+            .into_iter()
+            .all(|r| self.active_routers.contains(r) != self.routers[r].is_idle())
+            && nodes
+                .into_iter()
+                .all(|n| self.active_sources.contains(n) == (self.sources[n].backlog_flits() > 0))
     }
 
     /// The precomputed route table serving this network's RC stage, if
@@ -292,7 +383,7 @@ impl Network {
     pub fn output_credits(&self, link: LinkId) -> &[u16] {
         match self.from_ep[link.index()] {
             Endpoint::RouterPort { router, port } => {
-                &self.routers[router.index()].outputs[port.0 as usize].credits
+                self.routers[router.index()].output_credits(port)
             }
             Endpoint::Node(_) => panic!("{link:?} has no upstream router port"),
         }
@@ -315,28 +406,27 @@ impl Network {
 
     /// Queues a packet at its source node.
     pub fn inject(&mut self, packet: Packet) {
-        self.sources[packet.src.index()].enqueue(packet);
+        let src = packet.src.index();
+        self.sources[src].enqueue(packet);
+        self.active_sources.insert(src);
     }
 
     /// One router-core cycle: all sources try to inject, all routers step
     /// their pipelines. Effects are appended to `effects`.
     pub fn tick(&mut self, now: Picos, effects: &mut Vec<Effect>) {
-        self.ticks += 1;
-        for src in &mut self.sources {
-            src.tick(now, &mut self.links, effects);
-        }
-        let table = self.route_table.as_deref();
-        for router in &mut self.routers {
-            router.tick(now, &self.config, table, &mut self.links, effects);
-        }
+        let (routers, nodes) = (0..self.routers.len(), 0..self.sources.len());
+        self.tick_range(now, effects, routers, nodes);
     }
 
-    /// One router-core cycle restricted to a contiguous region: only the
-    /// sources in `nodes` and the routers in `routers` are stepped, in the
-    /// same relative order as [`Network::tick`]. This is the sharded
-    /// runtime's stepping primitive — each shard replica ticks only the
-    /// rows it owns, so effect emission order within a shard matches the
-    /// sequential engine's order restricted to that region.
+    /// One router-core cycle restricted to a contiguous region: the
+    /// sources in `nodes` step, then the routers in `routers`, each in
+    /// ascending index order. [`Network::tick`] is the whole-network
+    /// region; the sharded runtime ticks each replica's own rows, so
+    /// effect emission order within a shard matches the sequential
+    /// engine's order restricted to that region.
+    ///
+    /// Only components in the active sets are visited: an idle router or
+    /// an empty source would do nothing.
     pub fn tick_range(
         &mut self,
         now: Picos,
@@ -345,13 +435,29 @@ impl Network {
         nodes: std::ops::Range<usize>,
     ) {
         self.ticks += 1;
-        for src in &mut self.sources[nodes] {
-            src.tick(now, &mut self.links, effects);
-        }
-        let table = self.route_table.as_deref();
-        for router in &mut self.routers[routers] {
-            router.tick(now, &self.config, table, &mut self.links, effects);
-        }
+        let Network {
+            config,
+            routers: all_routers,
+            sources,
+            links,
+            route_table,
+            active_routers,
+            active_sources,
+            ..
+        } = self;
+        active_sources.sweep(nodes.clone(), |n| {
+            sources[n].tick(now, links, effects);
+            sources[n].backlog_flits() > 0
+        });
+        let table = route_table.as_deref();
+        active_routers.sweep(routers.clone(), |r| {
+            all_routers[r].tick(now, config, table, links, effects);
+            !all_routers[r].is_idle()
+        });
+        debug_assert!(
+            self.active_sets_match(routers, nodes),
+            "active sets disagree with router/source state after a tick"
+        );
     }
 
     /// Delivers a flit that finished traversing `link` (an
@@ -368,6 +474,7 @@ impl Network {
         match self.to_ep[link.index()] {
             Endpoint::RouterPort { router, port } => {
                 self.routers[router.index()].accept_flit(port, vc, flit);
+                self.active_routers.insert(router.index());
             }
             Endpoint::Node(n) => {
                 self.sinks[n.index()].receive(now, vc, flit, self.config.credit_delay, effects);
@@ -393,6 +500,7 @@ impl Network {
         match self.to_ep[link.index()] {
             Endpoint::RouterPort { router, port } => {
                 self.routers[router.index()].accept_flit(port, vc, flit);
+                self.active_routers.insert(router.index());
             }
             Endpoint::Node(n) => {
                 self.sinks[n.index()].receive(now, vc, flit, self.config.credit_delay, effects);
@@ -426,8 +534,7 @@ impl Network {
     pub fn take_downstream_occupancy(&mut self, link: LinkId, cycles: u64) -> Option<f64> {
         match self.links[link.index()].to() {
             Endpoint::RouterPort { router, port } => {
-                let accum =
-                    self.routers[router.index()].inputs[port.0 as usize].take_occupancy_accum();
+                let accum = self.routers[router.index()].take_occupancy_accum(port);
                 (cycles > 0).then(|| accum as f64 / cycles as f64)
             }
             Endpoint::Node(_) => None,
@@ -444,7 +551,7 @@ impl Network {
     pub fn take_input_occupancy(&mut self, link: LinkId) -> u64 {
         match self.to_ep[link.index()] {
             Endpoint::RouterPort { router, port } => {
-                self.routers[router.index()].inputs[port.0 as usize].take_occupancy_accum()
+                self.routers[router.index()].take_occupancy_accum(port)
             }
             Endpoint::Node(_) => 0,
         }
@@ -456,7 +563,7 @@ impl Network {
     pub fn set_input_occupancy(&mut self, link: LinkId, accum: u64) {
         match self.to_ep[link.index()] {
             Endpoint::RouterPort { router, port } => {
-                self.routers[router.index()].inputs[port.0 as usize].occupancy_accum = accum;
+                self.routers[router.index()].set_occupancy_accum(port, accum);
             }
             Endpoint::Node(_) => {}
         }
@@ -487,6 +594,7 @@ impl Network {
                 self.links[l].clone_from(&donor.links[l]);
             }
         }
+        self.rebuild_active_sets();
     }
 
     /// Serializes the network's *mutable* state for a checkpoint: routers,
@@ -544,6 +652,7 @@ impl Network {
         self.sinks = sinks;
         self.links = links;
         self.ticks = ticks;
+        self.rebuild_active_sets();
         Ok(())
     }
 
@@ -728,15 +837,15 @@ mod tests {
             let coord = config.coord_of(RouterId(r as u32));
             // Local ports always wired both ways.
             for p in 0..config.nodes_per_rack {
-                assert!(router.outputs[p as usize].link.is_some());
-                assert!(router.inputs[p as usize].feeder.is_some());
+                assert!(router.output_link(PortId(p)).is_some());
+                assert!(router.feeder(PortId(p)).is_some());
             }
             // Mesh ports wired exactly when a neighbor exists.
             for dir in Direction::ALL {
                 let port = direction_port(&config, dir);
                 let has = coord.neighbor(dir, config.width, config.height).is_some();
-                assert_eq!(router.outputs[port.0 as usize].link.is_some(), has);
-                assert_eq!(router.inputs[port.0 as usize].feeder.is_some(), has);
+                assert_eq!(router.output_link(port).is_some(), has);
+                assert_eq!(router.feeder(port).is_some(), has);
             }
         }
     }
@@ -915,6 +1024,105 @@ mod tests {
         // Ejection links report None.
         let ej = d.net.sinks[7].ejection_link();
         assert_eq!(d.net.take_downstream_occupancy(ej, 50), None);
+    }
+
+    #[test]
+    fn active_sets_track_work_under_random_traffic() {
+        for topology in [
+            TopologyKind::Mesh,
+            TopologyKind::Torus,
+            TopologyKind::FoldedClos { spines: 2 },
+        ] {
+            let mut config = NocConfig::small_for_tests();
+            config.topology = topology;
+            config.vcs = 2;
+            config.buffer_depth = 8;
+            let mut d = Driver::new(&config);
+            let (routers, nodes) = (d.net.router_count(), d.net.node_count());
+            let links = d.net.link_count();
+            let mut lcg: u64 = 0x853C_49E6_748F_EA9B;
+            let (mut id, mut peak_active) = (0u64, 0u32);
+            for cycle in 0..1_500 {
+                lcg = lcg
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let (src, dst) = ((lcg >> 20) as usize % nodes, (lcg >> 40) as usize % nodes);
+                if cycle < 600 && src != dst && (lcg >> 60) < 10 {
+                    id += 1;
+                    let size = 1 + (lcg >> 8) as u32 % 6;
+                    d.net.inject(packet(id, src, dst, size, d.now));
+                }
+                d.run(1);
+                assert!(
+                    d.net.active_sets_match(0..routers, 0..nodes),
+                    "{topology:?} cycle {cycle}"
+                );
+                let active: u32 = d
+                    .net
+                    .active_routers
+                    .words
+                    .iter()
+                    .map(|w| w.count_ones())
+                    .sum();
+                peak_active = peak_active.max(active);
+
+                if cycle == 300 {
+                    // A checkpoint restore rebuilds the sets from state.
+                    let mut restored = Network::new(&config);
+                    restored.restore_state(&d.net.checkpoint_state()).unwrap();
+                    assert!(restored.active_sets_match(0..routers, 0..nodes));
+                    assert_eq!(restored.active_routers.words, d.net.active_routers.words);
+                    assert_eq!(restored.active_sources.words, d.net.active_sources.words);
+
+                    // So does a shard merge, one region at a time.
+                    let mut merged = Network::new(&config);
+                    let (hr, hn) = (routers / 2, nodes / 2);
+                    merged.adopt_region(&d.net, 0..hr, 0..hn, [0..links, 0..0]);
+                    assert!(merged.active_sets_match(0..routers, 0..nodes));
+                    merged.adopt_region(&d.net, hr..routers, hn..nodes, [0..0, 0..0]);
+                    assert_eq!(merged.active_routers.words, d.net.active_routers.words);
+                    assert_eq!(merged.active_sources.words, d.net.active_sources.words);
+                }
+            }
+            assert_eq!(d.ejected.len() as u64, id, "{topology:?}");
+            assert!(d.net.is_quiescent());
+            assert!(
+                peak_active > 1,
+                "{topology:?}: traffic never kept two routers busy"
+            );
+            assert!(d.net.active_routers.words.iter().all(|&w| w == 0));
+            assert!(d.net.active_sources.words.iter().all(|&w| w == 0));
+        }
+    }
+
+    #[test]
+    fn active_set_sweep_respects_range_edges() {
+        // 130 indices span three words; every range must visit exactly
+        // its marked members, ascending, and unmark only those that
+        // report idle.
+        let marked = |i: usize| i.is_multiple_of(3) || i == 63 || i == 64 || i == 127;
+        for (start, end) in [
+            (0, 130),
+            (0, 64),
+            (63, 65),
+            (64, 128),
+            (1, 127),
+            (5, 5),
+            (129, 130),
+        ] {
+            let mut set = ActiveSet::from_fn(130, marked);
+            let mut seen = Vec::new();
+            set.sweep(start..end, |i| {
+                seen.push(i);
+                i % 2 == 0
+            });
+            let want: Vec<usize> = (start..end).filter(|&i| marked(i)).collect();
+            assert_eq!(seen, want, "{start}..{end}");
+            for i in 0..130 {
+                let kept = marked(i) && (!(start..end).contains(&i) || i % 2 == 0);
+                assert_eq!(set.contains(i), kept, "{start}..{end} index {i}");
+            }
+        }
     }
 
     #[test]

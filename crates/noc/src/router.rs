@@ -27,7 +27,7 @@ use crate::network::Effect;
 use crate::route_table::{RouteSet, RouteTable};
 use crate::routing::{route_candidates, RoutingAlgorithm};
 use lumen_desim::Picos;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// Per-input-VC pipeline state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -48,108 +48,52 @@ pub enum VcState {
     },
 }
 
-/// One input port: buffer, per-VC state, and the link that feeds it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct InputPort {
-    /// The per-VC flit FIFOs.
-    pub buffer: InputBuffer,
-    /// Pipeline state per VC.
-    pub vc_state: Vec<VcState>,
-    /// The upstream link filling this port (None on mesh-edge ports).
-    pub feeder: Option<LinkId>,
-    /// Sum of per-cycle occupancy samples (numerator of the paper's `Bu`).
-    pub occupancy_accum: u64,
+/// One input port: its buffer, the link that feeds it, and its occupancy
+/// statistic. The port's per-VC pipeline state lives in the router's
+/// slot-indexed `vc_state` array.
+#[derive(Debug, Clone)]
+struct InputPort {
+    buffer: InputBuffer,
+    // The upstream link filling this port (None on mesh-edge ports).
+    feeder: Option<LinkId>,
+    // Sum of per-cycle occupancy samples (numerator of the paper's `Bu`).
+    occupancy_accum: u64,
 }
 
-impl InputPort {
-    fn new(config: &NocConfig) -> Self {
-        InputPort {
-            buffer: InputBuffer::new(config.vcs, config.depth_per_vc()),
-            vc_state: vec![VcState::Idle; config.vcs as usize],
-            feeder: None,
-            occupancy_accum: 0,
-        }
-    }
-
-    /// Drains the accumulated occupancy counter.
-    pub fn take_occupancy_accum(&mut self) -> u64 {
-        std::mem::replace(&mut self.occupancy_accum, 0)
-    }
-}
-
-/// One output port: downstream credit state, VC ownership, and arbiters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct OutputPort {
-    /// The outgoing link (None on mesh-edge ports).
-    pub link: Option<LinkId>,
-    /// Free downstream buffer slots per VC.
-    pub credits: Vec<u16>,
-    /// Which input (port, VC) currently owns each output VC.
-    pub vc_owner: Vec<Option<(PortId, VcId)>>,
+/// One output port: its link and arbiters. The port's per-VC credits and
+/// ownership live in the router's slot-indexed arrays.
+#[derive(Debug, Clone)]
+struct OutputPort {
+    // The outgoing link (None on mesh-edge ports).
+    link: Option<LinkId>,
     sa_arbiter: RoundRobinArbiter,
     va_arbiter: RoundRobinArbiter,
 }
 
-impl OutputPort {
-    fn new(config: &NocConfig) -> Self {
-        let requesters = config.ports_per_router() * config.vcs as usize;
-        OutputPort {
-            link: None,
-            credits: vec![config.depth_per_vc(); config.vcs as usize],
-            vc_owner: vec![None; config.vcs as usize],
-            sa_arbiter: RoundRobinArbiter::new(requesters),
-            va_arbiter: RoundRobinArbiter::new(requesters),
-        }
-    }
-}
-
-/// A bitset over the router's `ports × vcs` input-VC slots, iterated in
-/// ascending slot order — the same `(port, vc)` order the pipeline's full
-/// scans used, so replacing a scan with a set walk is order-identical.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct SlotSet {
-    words: Vec<u64>,
-}
-
-impl SlotSet {
-    fn new(slots: usize) -> Self {
-        SlotSet {
-            words: vec![0; slots.div_ceil(64)],
-        }
-    }
-
-    #[inline]
-    fn set(&mut self, i: usize) {
-        self.words[i >> 6] |= 1u64 << (i & 63);
-    }
-
-    #[inline]
-    fn clear(&mut self, i: usize) {
-        self.words[i >> 6] &= !(1u64 << (i & 63));
-    }
-
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-}
-
 /// A rack's communication router.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Its state is a few fixed-size arrays allocated once at construction.
+/// Per-VC state is indexed by *slot* `port * vcs + vc`, the same numbering
+/// as the 64-bit stage masks (`NocConfig::validate` bounds `ports × vcs`
+/// by 64), so a mask bit addresses the arrays directly.
+#[derive(Debug, Clone)]
 pub struct Router {
     id: RouterId,
     routing: RoutingAlgorithm,
     vcs: usize,
-    /// Input ports, indexed by [`PortId`].
-    pub inputs: Vec<InputPort>,
-    /// Output ports, indexed by [`PortId`].
-    pub outputs: Vec<OutputPort>,
+    inputs: Box<[InputPort]>,
+    outputs: Box<[OutputPort]>,
+    // Pipeline state of each input VC.
+    vc_state: Box<[VcState]>,
+    // Free downstream buffer slots of each output VC.
+    credits: Box<[u16]>,
+    // The input (port, VC) currently holding each output VC.
+    vc_owner: Box<[Option<(PortId, VcId)>]>,
     sa_rotate: usize,
-    // Scratch buffers reused across ticks to avoid per-cycle allocation.
-    // Requesters are bucketed per output port as a u64 bitmask over the
-    // `port * vcs + vc` slot space (capped at 64 slots per router), so
+    // Scratch reused across ticks to avoid per-cycle allocation.
+    // Requesters are bucketed per output port as a slot mask, so
     // allocation iterates set bits instead of pushing through Vecs.
-    scratch_port_mask: Vec<u64>,
+    scratch_port_mask: Box<[u64]>,
     scratch_routes: Vec<PortId>,
     /// Flits this router has switched over its lifetime.
     pub flits_switched: u64,
@@ -167,14 +111,14 @@ pub struct Router {
     buffered_flits: u32,
     active_vcs: u32,
     // Incrementally maintained pipeline-stage membership, one bit per
-    // input-VC slot (`port * vcs + vc`), so each stage visits only live
-    // VCs instead of scanning every slot every cycle:
+    // slot, so each stage visits only live VCs instead of scanning every
+    // slot every cycle, in ascending (port, vc) order:
     // - `sa_ready`: state Active and buffer non-empty (SA requesters)
     // - `va_set`:   state VcAlloc (VA requesters)
     // - `rc_ready`: state Idle and buffer non-empty (RC candidates)
-    sa_ready: SlotSet,
-    va_set: SlotSet,
-    rc_ready: SlotSet,
+    sa_ready: u64,
+    va_set: u64,
+    rc_ready: u64,
 }
 
 impl Router {
@@ -182,20 +126,34 @@ impl Router {
     /// links and feeders afterwards).
     pub fn new(id: RouterId, routing: RoutingAlgorithm, config: &NocConfig) -> Self {
         let p = config.ports_per_router();
-        let slots = p * config.vcs as usize;
+        let vcs = config.vcs as usize;
+        let slots = p * vcs;
         assert!(
             slots <= 64,
             "mask-based switch/VC allocation supports at most 64 input-VC \
              slots per router (got {slots})"
         );
+        let input = InputPort {
+            buffer: InputBuffer::new(config.vcs, config.depth_per_vc()),
+            feeder: None,
+            occupancy_accum: 0,
+        };
+        let output = OutputPort {
+            link: None,
+            sa_arbiter: RoundRobinArbiter::new(slots),
+            va_arbiter: RoundRobinArbiter::new(slots),
+        };
         Router {
             id,
             routing,
-            vcs: config.vcs as usize,
-            inputs: (0..p).map(|_| InputPort::new(config)).collect(),
-            outputs: (0..p).map(|_| OutputPort::new(config)).collect(),
+            vcs,
+            inputs: vec![input; p].into_boxed_slice(),
+            outputs: vec![output; p].into_boxed_slice(),
+            vc_state: vec![VcState::Idle; slots].into_boxed_slice(),
+            credits: vec![config.depth_per_vc(); slots].into_boxed_slice(),
+            vc_owner: vec![None; slots].into_boxed_slice(),
             sa_rotate: 0,
-            scratch_port_mask: vec![0; p],
+            scratch_port_mask: vec![0; p].into_boxed_slice(),
             // Sized to the candidate bound so the fallback RC path never
             // grows it mid-run (audited: route_candidates pushes at most
             // MAX_ROUTE_CANDIDATES ports, or a single ejection port).
@@ -205,15 +163,78 @@ impl Router {
             sa_denials: 0,
             buffered_flits: 0,
             active_vcs: 0,
-            sa_ready: SlotSet::new(slots),
-            va_set: SlotSet::new(slots),
-            rc_ready: SlotSet::new(slots),
+            sa_ready: 0,
+            va_set: 0,
+            rc_ready: 0,
         }
     }
 
     /// The router's id.
     pub fn id(&self) -> RouterId {
         self.id
+    }
+
+    /// Wires output `port` to the link it drives.
+    pub fn connect_output(&mut self, port: PortId, link: LinkId) {
+        self.outputs[port.0 as usize].link = Some(link);
+    }
+
+    /// Wires input `port` to the upstream link that fills it.
+    pub fn connect_input(&mut self, port: PortId, feeder: LinkId) {
+        self.inputs[port.0 as usize].feeder = Some(feeder);
+    }
+
+    /// The link output `port` drives (None on mesh-edge ports).
+    pub fn output_link(&self, port: PortId) -> Option<LinkId> {
+        self.outputs[port.0 as usize].link
+    }
+
+    /// The upstream link filling input `port` (None on mesh-edge ports).
+    pub fn feeder(&self, port: PortId) -> Option<LinkId> {
+        self.inputs[port.0 as usize].feeder
+    }
+
+    /// Input `port`'s per-VC flit FIFOs.
+    pub fn input_buffer(&self, port: PortId) -> &InputBuffer {
+        &self.inputs[port.0 as usize].buffer
+    }
+
+    /// Every input port's buffer, in port order.
+    pub fn input_buffers(&self) -> impl Iterator<Item = &InputBuffer> {
+        self.inputs.iter().map(|p| &p.buffer)
+    }
+
+    /// The pipeline state of input VC `vc` on `port`.
+    pub fn vc_state(&self, port: PortId, vc: VcId) -> VcState {
+        self.vc_state[self.slot(port, vc)]
+    }
+
+    /// Free downstream buffer slots per VC of output `port`.
+    pub fn output_credits(&self, port: PortId) -> &[u16] {
+        let base = port.0 as usize * self.vcs;
+        &self.credits[base..base + self.vcs]
+    }
+
+    /// Drains input `port`'s accumulated occupancy counter.
+    pub fn take_occupancy_accum(&mut self, port: PortId) -> u64 {
+        std::mem::take(&mut self.inputs[port.0 as usize].occupancy_accum)
+    }
+
+    /// Installs input `port`'s accumulated occupancy counter.
+    pub fn set_occupancy_accum(&mut self, port: PortId, accum: u64) {
+        self.inputs[port.0 as usize].occupancy_accum = accum;
+    }
+
+    #[inline]
+    fn slot(&self, port: PortId, vc: VcId) -> usize {
+        debug_assert!((vc.0 as usize) < self.vcs, "{vc} out of range");
+        port.0 as usize * self.vcs + vc.0 as usize
+    }
+
+    /// Whether a tick would do nothing: no flit buffered and no packet in
+    /// flight. Only [`Router::accept_flit`] ends idleness.
+    pub fn is_idle(&self) -> bool {
+        self.buffered_flits == 0 && self.active_vcs == 0
     }
 
     /// One core-clock cycle: SA/ST, then VA, then RC, then statistics.
@@ -230,13 +251,13 @@ impl Router {
         links: &mut [Link],
         effects: &mut Vec<Effect>,
     ) {
-        if self.buffered_flits == 0 && self.active_vcs == 0 {
+        if self.is_idle() {
             return; // idle fast path: nothing buffered, no packet in flight
         }
         self.switch_allocation(now, config, links, effects);
-        self.vc_allocation(config);
+        self.vc_allocation();
         self.route_computation(config, route_table);
-        for input in &mut self.inputs {
+        for input in self.inputs.iter_mut() {
             input.occupancy_accum += input.buffer.total_occupancy() as u64;
         }
     }
@@ -251,8 +272,8 @@ impl Router {
         effects: &mut Vec<Effect>,
     ) {
         let ports = self.outputs.len();
-        let vcs = config.vcs as usize;
-        if self.sa_ready.is_empty() {
+        let vcs = self.vcs;
+        if self.sa_ready == 0 {
             // No Active VC holds a flit: nothing to allocate, but the
             // rotating priority still advances exactly as it always did.
             self.sa_rotate = if self.sa_rotate + 1 == ports { 0 } else { self.sa_rotate + 1 };
@@ -264,15 +285,17 @@ impl Router {
         // ascending (port, vc) order the full scan did, visiting only VCs
         // that are Active with a flit buffered.
         self.scratch_port_mask.fill(0);
-        let mut w = self.sa_ready.words[0];
+        let mut w = self.sa_ready;
         while w != 0 {
             let req = w.trailing_zeros() as usize;
             w &= w - 1;
-            let (ip, vc) = (req / vcs, req % vcs);
-            let VcState::Active { out_port, .. } = self.inputs[ip].vc_state[vc] else {
+            let VcState::Active { out_port, .. } = self.vc_state[req] else {
                 unreachable!("sa_ready slot not in Active state");
             };
-            debug_assert!(self.inputs[ip].buffer.front(VcId(vc as u8)).is_some());
+            debug_assert!(self.inputs[req / vcs]
+                .buffer
+                .front(VcId((req % vcs) as u8))
+                .is_some());
             self.scratch_port_mask[out_port.0 as usize] |= 1u64 << req;
         }
         // Rotating scan over output ports without a modulo per step.
@@ -296,17 +319,15 @@ impl Router {
             }
             // An input port already granted this cycle (crossbar conflict)
             // or an output VC out of credits disqualifies a requester.
+            let op_credits = &self.credits[op * vcs..(op + 1) * vcs];
             let mut eligible: u64 = 0;
             let mut m = req_mask;
             while m != 0 {
                 let req = m.trailing_zeros() as usize;
                 m &= m - 1;
-                let (ip, vc) = (req / vcs, req % vcs);
-                let ok = input_used >> ip & 1 == 0
-                    && match self.inputs[ip].vc_state[vc] {
-                        VcState::Active { out_vc, .. } => {
-                            self.outputs[op].credits[out_vc.0 as usize] > 0
-                        }
+                let ok = input_used >> (req / vcs) & 1 == 0
+                    && match self.vc_state[req] {
+                        VcState::Active { out_vc, .. } => op_credits[out_vc.0 as usize] > 0,
                         _ => false,
                     };
                 eligible |= (ok as u64) << req;
@@ -318,23 +339,27 @@ impl Router {
                 continue;
             };
             let (ip, vc) = (req / vcs, VcId((req % vcs) as u8));
-            let VcState::Active { out_vc, .. } = self.inputs[ip].vc_state[vc.0 as usize] else {
+            let VcState::Active { out_vc, .. } = self.vc_state[req] else {
                 unreachable!("eligibility mask admitted a non-active VC");
             };
-            let flit = self.inputs[ip]
+            let out_slot = op * vcs + out_vc.0 as usize;
+            let input = &mut self.inputs[ip];
+            let flit = input
                 .buffer
                 .pop(vc)
                 .expect("eligibility mask admitted an empty VC");
-            self.outputs[op].credits[out_vc.0 as usize] -= 1;
+            let drained = input.buffer.is_empty(vc);
+            let feeder = input.feeder;
+            self.credits[out_slot] -= 1;
             self.flits_switched += 1;
             // One requester won; its co-requesters for this port lost.
             self.sa_denials += (req_mask.count_ones() - 1) as u64;
             self.buffered_flits -= 1;
-            if self.inputs[ip].buffer.is_empty(vc) {
+            if drained {
                 // Last buffered flit left; the VC stops requesting the
                 // switch until another flit arrives (or, for a tail, until
                 // a new packet restarts the pipeline below).
-                self.sa_ready.clear(req);
+                self.sa_ready &= !(1u64 << req);
             }
             let arrival = links[link_id.index()].start_flit(st_time);
             effects.push(Effect::Flit {
@@ -343,7 +368,7 @@ impl Router {
                 flit,
                 at: arrival,
             });
-            if let Some(feeder) = self.inputs[ip].feeder {
+            if let Some(feeder) = feeder {
                 effects.push(Effect::Credit {
                     link: feeder,
                     vc,
@@ -351,14 +376,14 @@ impl Router {
                 });
             }
             if flit.kind.is_tail() {
-                self.outputs[op].vc_owner[out_vc.0 as usize] = None;
-                self.inputs[ip].vc_state[vc.0 as usize] = VcState::Idle;
+                self.vc_owner[out_slot] = None;
+                self.vc_state[req] = VcState::Idle;
                 self.active_vcs -= 1;
-                self.sa_ready.clear(req);
-                if !self.inputs[ip].buffer.is_empty(vc) {
+                self.sa_ready &= !(1u64 << req);
+                if !drained {
                     // The next packet's head is already waiting: it becomes
                     // an RC candidate this very cycle (RC runs after SA).
-                    self.rc_ready.set(req);
+                    self.rc_ready |= 1u64 << req;
                 }
             }
             input_used |= 1u64 << ip;
@@ -367,21 +392,20 @@ impl Router {
     }
 
     /// VA: hand free output VCs to packets whose route is computed.
-    fn vc_allocation(&mut self, config: &NocConfig) {
-        let ports = self.outputs.len();
-        let vcs = config.vcs as usize;
-        if self.va_set.is_empty() {
+    fn vc_allocation(&mut self) {
+        if self.va_set == 0 {
             return;
         }
+        let ports = self.outputs.len();
+        let vcs = self.vcs;
         // Bucket VC-allocation requesters by requested output port, in the
         // same ascending (port, vc) order the full scan produced.
         self.scratch_port_mask.fill(0);
-        let mut w = self.va_set.words[0];
+        let mut w = self.va_set;
         while w != 0 {
             let req = w.trailing_zeros() as usize;
             w &= w - 1;
-            let (ip, vc) = (req / vcs, req % vcs);
-            let VcState::VcAlloc { out_port } = self.inputs[ip].vc_state[vc] else {
+            let VcState::VcAlloc { out_port } = self.vc_state[req] else {
                 unreachable!("va_set slot not in VcAlloc state");
             };
             self.scratch_port_mask[out_port.0 as usize] |= 1u64 << req;
@@ -392,7 +416,8 @@ impl Router {
                 continue;
             }
             for out_vc in 0..vcs {
-                if self.outputs[op].vc_owner[out_vc].is_some() {
+                let out_slot = op * vcs + out_vc;
+                if self.vc_owner[out_slot].is_some() {
                     continue;
                 }
                 let Some(req) = self.outputs[op].va_arbiter.grant_masked(req_mask) else {
@@ -400,14 +425,14 @@ impl Router {
                 };
                 req_mask &= !(1u64 << req);
                 let (ip, vc) = (req / vcs, req % vcs);
-                self.outputs[op].vc_owner[out_vc] = Some((PortId(ip as u8), VcId(vc as u8)));
-                self.inputs[ip].vc_state[vc] = VcState::Active {
+                self.vc_owner[out_slot] = Some((PortId(ip as u8), VcId(vc as u8)));
+                self.vc_state[req] = VcState::Active {
                     out_port: PortId(op as u8),
                     out_vc: VcId(out_vc as u8),
                 };
-                self.va_set.clear(req);
+                self.va_set &= !(1u64 << req);
                 if !self.inputs[ip].buffer.is_empty(VcId(vc as u8)) {
-                    self.sa_ready.set(req);
+                    self.sa_ready |= 1u64 << req;
                 }
             }
         }
@@ -420,79 +445,73 @@ impl Router {
     /// downstream credits — which makes routing *power-aware*: traffic
     /// steers around links parked at low rates or disabled for relock.
     fn route_computation(&mut self, config: &NocConfig, table: Option<&RouteTable>) {
-        let vcs = config.vcs as usize;
+        let vcs = self.vcs;
         // Every rc_ready VC (Idle with a buffered head flit) computes its
-        // route this cycle, so the whole word empties; take it up front.
-        for wi in 0..self.rc_ready.words.len() {
-            let mut w = std::mem::take(&mut self.rc_ready.words[wi]);
-            while w != 0 {
-                let req = (wi << 6) | w.trailing_zeros() as usize;
-                w &= w - 1;
-                let (ip, vc) = (req / vcs, req % vcs);
-                debug_assert_eq!(self.inputs[ip].vc_state[vc], VcState::Idle);
-                let front = self.inputs[ip]
-                    .buffer
-                    .front(VcId(vc as u8))
-                    .expect("rc_ready VC with an empty buffer");
-                debug_assert!(
-                    front.kind.is_head(),
-                    "non-head flit {front} at front of idle VC: wormhole order violated"
-                );
-                let dst = front.dst;
-                // The hot path: one indexed load from the precomputed
-                // table. The fallback (RouteTableMode::Off, oversized
-                // tables) recomputes through the topology; both yield the
-                // same candidates in the same order, so selection below is
-                // bit-identical either way.
-                let candidates = match table {
-                    Some(t) => t.candidates(self.id, dst),
-                    None => {
-                        route_candidates(
-                            config,
-                            self.routing,
-                            self.id,
-                            dst,
-                            &mut self.scratch_routes,
-                        );
-                        RouteSet::from_slice(&self.scratch_routes)
+        // route this cycle, so the whole set empties; take it up front.
+        let mut w = std::mem::take(&mut self.rc_ready);
+        while w != 0 {
+            let req = w.trailing_zeros() as usize;
+            w &= w - 1;
+            let (ip, vc) = (req / vcs, req % vcs);
+            debug_assert_eq!(self.vc_state[req], VcState::Idle);
+            let front = self.inputs[ip]
+                .buffer
+                .front(VcId(vc as u8))
+                .expect("rc_ready VC with an empty buffer");
+            debug_assert!(
+                front.kind.is_head(),
+                "non-head flit {front} at front of idle VC: wormhole order violated"
+            );
+            let dst = front.dst;
+            // The hot path: one indexed load from the precomputed
+            // table. The fallback (RouteTableMode::Off, oversized
+            // tables) recomputes through the topology; both yield the
+            // same candidates in the same order, so selection below is
+            // bit-identical either way.
+            let candidates = match table {
+                Some(t) => t.candidates(self.id, dst),
+                None => {
+                    route_candidates(config, self.routing, self.id, dst, &mut self.scratch_routes);
+                    RouteSet::from_slice(&self.scratch_routes)
+                }
+            };
+            let cands = candidates.as_slice();
+            let out_port = if cands.len() == 1 {
+                cands[0]
+            } else {
+                let mut best = cands[0];
+                let mut best_score = -1i64;
+                for &cand in cands {
+                    let out_vcs = cand.0 as usize * vcs..(cand.0 as usize + 1) * vcs;
+                    let free_vc = self.vc_owner[out_vcs.clone()]
+                        .iter()
+                        .filter(|o| o.is_none())
+                        .count() as i64;
+                    let credits: i64 = self.credits[out_vcs].iter().map(|&c| c as i64).sum();
+                    let score = free_vc * 1_000 + credits;
+                    if score > best_score {
+                        best_score = score;
+                        best = cand;
                     }
-                };
-                let cands = candidates.as_slice();
-                let out_port = if cands.len() == 1 {
-                    cands[0]
-                } else {
-                    let mut best = cands[0];
-                    let mut best_score = -1i64;
-                    for &cand in cands {
-                        let out = &self.outputs[cand.0 as usize];
-                        let free_vc = out.vc_owner.iter().filter(|o| o.is_none()).count() as i64;
-                        let credits: i64 =
-                            out.credits.iter().map(|&c| c as i64).sum();
-                        let score = free_vc * 1_000 + credits;
-                        if score > best_score {
-                            best_score = score;
-                            best = cand;
-                        }
-                    }
-                    best
-                };
-                self.inputs[ip].vc_state[vc] = VcState::VcAlloc { out_port };
-                self.va_set.set(req);
-                self.active_vcs += 1;
-            }
+                }
+                best
+            };
+            self.vc_state[req] = VcState::VcAlloc { out_port };
+            self.va_set |= 1u64 << req;
+            self.active_vcs += 1;
         }
     }
 
     /// Accepts a flit delivered by an upstream link into an input buffer.
     pub fn accept_flit(&mut self, port: PortId, vc: VcId, flit: crate::flit::Flit) {
-        let ip = port.0 as usize;
-        self.inputs[ip].buffer.push(vc, flit);
+        let slot = self.slot(port, vc);
+        self.inputs[port.0 as usize].buffer.push(vc, flit);
         // A previously-empty VC becomes a pipeline candidate: Idle VCs go
         // to RC, Active ones back into SA contention. VcAlloc VCs are
         // already tracked in va_set and need nothing here.
-        match self.inputs[ip].vc_state[vc.0 as usize] {
-            VcState::Idle => self.rc_ready.set(ip * self.vcs + vc.0 as usize),
-            VcState::Active { .. } => self.sa_ready.set(ip * self.vcs + vc.0 as usize),
+        match self.vc_state[slot] {
+            VcState::Idle => self.rc_ready |= 1u64 << slot,
+            VcState::Active { .. } => self.sa_ready |= 1u64 << slot,
             VcState::VcAlloc { .. } => {}
         }
         self.buffered_flits += 1;
@@ -506,7 +525,8 @@ impl Router {
     /// Panics if the credit would exceed the downstream buffer capacity
     /// (a flow-control accounting bug).
     pub fn return_credit(&mut self, port: PortId, vc: VcId, depth_per_vc: u16) {
-        let c = &mut self.outputs[port.0 as usize].credits[vc.0 as usize];
+        let slot = self.slot(port, vc);
+        let c = &mut self.credits[slot];
         assert!(
             *c < depth_per_vc,
             "credit overflow on {}:{port}:{vc}",
@@ -518,15 +538,194 @@ impl Router {
     /// Whether every input buffer and pipeline state is empty/idle (used
     /// for drain detection in tests and experiments).
     pub fn is_quiescent(&self) -> bool {
-        self.inputs.iter().all(|p| {
-            p.buffer.total_occupancy() == 0
-                && p.vc_state.iter().all(|s| *s == VcState::Idle)
-        })
+        self.inputs.iter().all(|p| p.buffer.total_occupancy() == 0)
+            && self.vc_state.iter().all(|s| *s == VcState::Idle)
     }
 
     /// The flit kind at the front of an input VC (testing aid).
     pub fn front_kind(&self, port: PortId, vc: VcId) -> Option<FlitKind> {
         self.inputs[port.0 as usize].buffer.front(vc).map(|f| f.kind)
+    }
+}
+
+// --- checkpoint layout ------------------------------------------------------
+//
+// `lumen-ckpt/1` stores a router as per-port records that carry their
+// per-VC state as lists, and each stage mask as a one-word set. The
+// records below are that layout, field for field; the router converts to
+// and from them at checkpoint time only.
+
+#[derive(Serialize, Deserialize)]
+struct RouterRecord {
+    id: RouterId,
+    routing: RoutingAlgorithm,
+    vcs: usize,
+    inputs: Vec<InputPortRecord>,
+    outputs: Vec<OutputPortRecord>,
+    sa_rotate: usize,
+    scratch_port_mask: Vec<u64>,
+    scratch_routes: Vec<PortId>,
+    flits_switched: u64,
+    flits_accepted: u64,
+    sa_denials: u64,
+    buffered_flits: u32,
+    active_vcs: u32,
+    sa_ready: SlotSetRecord,
+    va_set: SlotSetRecord,
+    rc_ready: SlotSetRecord,
+}
+
+#[derive(Serialize, Deserialize)]
+struct InputPortRecord {
+    buffer: InputBuffer,
+    vc_state: Vec<VcState>,
+    feeder: Option<LinkId>,
+    occupancy_accum: u64,
+}
+
+#[derive(Serialize, Deserialize)]
+struct OutputPortRecord {
+    link: Option<LinkId>,
+    credits: Vec<u16>,
+    vc_owner: Vec<Option<(PortId, VcId)>>,
+    sa_arbiter: RoundRobinArbiter,
+    va_arbiter: RoundRobinArbiter,
+}
+
+#[derive(Serialize, Deserialize)]
+struct SlotSetRecord {
+    words: Vec<u64>,
+}
+
+impl SlotSetRecord {
+    fn word(self) -> Result<u64, serde::Error> {
+        match self.words[..] {
+            [w] => Ok(w),
+            _ => Err(serde::Error::custom(
+                "router slot set must be one 64-bit word",
+            )),
+        }
+    }
+}
+
+impl Serialize for Router {
+    fn serialize_value(&self) -> Value {
+        let vcs = self.vcs;
+        let per_port = |a: usize| a * vcs..(a + 1) * vcs;
+        RouterRecord {
+            id: self.id,
+            routing: self.routing,
+            vcs,
+            inputs: (self.inputs.iter().enumerate())
+                .map(|(p, input)| InputPortRecord {
+                    buffer: input.buffer.clone(),
+                    vc_state: self.vc_state[per_port(p)].to_vec(),
+                    feeder: input.feeder,
+                    occupancy_accum: input.occupancy_accum,
+                })
+                .collect(),
+            outputs: (self.outputs.iter().enumerate())
+                .map(|(p, output)| OutputPortRecord {
+                    link: output.link,
+                    credits: self.credits[per_port(p)].to_vec(),
+                    vc_owner: self.vc_owner[per_port(p)].to_vec(),
+                    sa_arbiter: output.sa_arbiter.clone(),
+                    va_arbiter: output.va_arbiter.clone(),
+                })
+                .collect(),
+            sa_rotate: self.sa_rotate,
+            scratch_port_mask: self.scratch_port_mask.to_vec(),
+            scratch_routes: self.scratch_routes.clone(),
+            flits_switched: self.flits_switched,
+            flits_accepted: self.flits_accepted,
+            sa_denials: self.sa_denials,
+            buffered_flits: self.buffered_flits,
+            active_vcs: self.active_vcs,
+            sa_ready: SlotSetRecord {
+                words: vec![self.sa_ready],
+            },
+            va_set: SlotSetRecord {
+                words: vec![self.va_set],
+            },
+            rc_ready: SlotSetRecord {
+                words: vec![self.rc_ready],
+            },
+        }
+        .serialize_value()
+    }
+}
+
+impl Deserialize for Router {
+    fn deserialize_value(v: &Value) -> Result<Self, serde::Error> {
+        let r = RouterRecord::deserialize_value(v)?;
+        let (ports, vcs) = (r.inputs.len(), r.vcs);
+        let shaped = ports >= 1
+            && vcs >= 1
+            && ports * vcs <= 64
+            && r.outputs.len() == ports
+            && r.scratch_port_mask.len() == ports
+            && r.inputs
+                .iter()
+                .all(|i| i.buffer.vcs() as usize == vcs && i.vc_state.len() == vcs)
+            && r.outputs
+                .iter()
+                .all(|o| o.credits.len() == vcs && o.vc_owner.len() == vcs);
+        if !shaped {
+            return Err(serde::Error::custom(format!(
+                "router {} checkpoint does not have {ports} ports of {vcs} VCs throughout",
+                r.id
+            )));
+        }
+        let mut scratch_routes = Vec::with_capacity(crate::route_table::MAX_ROUTE_CANDIDATES);
+        scratch_routes.extend_from_slice(&r.scratch_routes);
+        let vc_state = r
+            .inputs
+            .iter()
+            .flat_map(|i| i.vc_state.iter().copied())
+            .collect();
+        let credits = r
+            .outputs
+            .iter()
+            .flat_map(|o| o.credits.iter().copied())
+            .collect();
+        let vc_owner = r
+            .outputs
+            .iter()
+            .flat_map(|o| o.vc_owner.iter().copied())
+            .collect();
+        Ok(Router {
+            id: r.id,
+            routing: r.routing,
+            vcs,
+            inputs: (r.inputs.into_iter())
+                .map(|i| InputPort {
+                    buffer: i.buffer,
+                    feeder: i.feeder,
+                    occupancy_accum: i.occupancy_accum,
+                })
+                .collect(),
+            outputs: (r.outputs.into_iter())
+                .map(|o| OutputPort {
+                    link: o.link,
+                    sa_arbiter: o.sa_arbiter,
+                    va_arbiter: o.va_arbiter,
+                })
+                .collect(),
+            vc_state,
+            credits,
+            vc_owner,
+            sa_rotate: r.sa_rotate,
+            scratch_port_mask: r.scratch_port_mask.into_boxed_slice(),
+            scratch_routes,
+            flits_switched: r.flits_switched,
+            flits_accepted: r.flits_accepted,
+            sa_denials: r.sa_denials,
+            buffered_flits: r.buffered_flits,
+            active_vcs: r.active_vcs,
+            sa_ready: r.sa_ready.word()?,
+            va_set: r.va_set.word()?,
+            rc_ready: r.rc_ready.word()?,
+        })
     }
 }
 
@@ -583,9 +782,9 @@ mod tests {
                 config.propagation,
                 Gbps::from_gbps(10.0),
             );
-            router.outputs[0].link = Some(LinkId(0));
-            router.outputs[4].link = Some(LinkId(1));
-            router.inputs[1].feeder = Some(LinkId(7)); // pretend injection feeder
+            router.connect_output(PortId(0), LinkId(0));
+            router.connect_output(PortId(4), LinkId(1));
+            router.connect_input(PortId(1), LinkId(7)); // pretend injection feeder
             let table = table.then(|| Arc::new(RouteTable::build(&config, RoutingAlgorithm::XY)));
             Harness {
                 config,
@@ -630,11 +829,11 @@ mod tests {
             h.tick();
             assert!(h.effects.is_empty());
             assert_eq!(
-                h.router.inputs[1].vc_state[0],
+                h.router.vc_state(PortId(1), VcId(0)),
                 VcState::VcAlloc { out_port: PortId(0) }
             );
             h.tick();
-            assert!(matches!(h.router.inputs[1].vc_state[0], VcState::Active { .. }));
+            assert!(matches!(h.router.vc_state(PortId(1), VcId(0)), VcState::Active { .. }));
             h.tick();
             // SA granted during the 3rd tick; flit departure scheduled.
             let flit_events: Vec<&Effect> = h
@@ -655,7 +854,7 @@ mod tests {
                 .iter()
                 .any(|e| matches!(e, Effect::Credit { link, .. } if *link == LinkId(7))));
             // Tail flit released everything.
-            assert_eq!(h.router.inputs[1].vc_state[0], VcState::Idle);
+            assert_eq!(h.router.vc_state(PortId(1), VcId(0)), VcState::Idle);
             assert!(h.router.is_quiescent());
         }
     }
@@ -695,7 +894,7 @@ mod tests {
             pending.reverse();
             for _ in 0..24 {
                 if let Some(&next) = pending.last() {
-                    if h.router.inputs[1].buffer.free_slots(VcId(0)) > 0 {
+                    if h.router.input_buffer(PortId(1)).free_slots(VcId(0)) > 0 {
                         h.router.accept_flit(PortId(1), VcId(0), next);
                         pending.pop();
                     }
@@ -775,8 +974,8 @@ mod tests {
                 h.router.accept_flit(PortId(1), VcId(0), f);
             }
             h.tick();
-            assert_eq!(h.router.inputs[1].take_occupancy_accum(), 2);
-            assert_eq!(h.router.inputs[1].take_occupancy_accum(), 0);
+            assert_eq!(h.router.take_occupancy_accum(PortId(1)), 2);
+            assert_eq!(h.router.take_occupancy_accum(PortId(1)), 0);
         }
     }
 

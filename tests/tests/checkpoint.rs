@@ -380,3 +380,109 @@ fn bounded_retention_is_split_safe_and_flags_decimated_rows() {
         "retained trace diverged across the split"
     );
 }
+
+// --- committed format fixture ----------------------------------------------
+//
+// `fixtures/mesh3x3_dvs.ckpt` is a `lumen-ckpt/1` file saved mid-run on a
+// 3×3 mesh with 2 VCs per port under DVS, at a load where input buffers
+// hold flits at the save point. It pins the on-disk layout of the router,
+// buffer, source, sink and link state: a build that changes how that
+// state is held in memory must still read the file, resume it to the
+// committed fingerprint, and write the same bytes back out.
+
+const FIXTURE_CKPT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/mesh3x3_dvs.ckpt");
+const FIXTURE_FINGERPRINT: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/fixtures/mesh3x3_dvs.fingerprint"
+);
+const FIXTURE_RATE: f64 = 0.6;
+const FIXTURE_SAVE: u64 = WARMUP + MEASURE / 2;
+
+fn fixture_experiment() -> Experiment {
+    let mut c = SystemConfig::paper_default().with_seed(41);
+    c.noc = NocConfig::small_for_tests();
+    c.noc.width = 3;
+    c.noc.height = 3;
+    c.noc.vcs = 2;
+    c.noc.buffer_depth = 8;
+    c.policy.timing.tw_cycles = 200;
+    Experiment::new(c)
+        .warmup_cycles(WARMUP)
+        .measure_cycles(MEASURE)
+        .sample_every(500)
+        .audit_conservation()
+}
+
+/// The fixture run's outcome as text, one `name value` pair per line;
+/// floats are written as their IEEE bits.
+fn fixture_fingerprint(r: &RunResult) -> String {
+    let lines = [
+        ("packets_injected", r.packets_injected),
+        ("packets_delivered", r.packets_delivered),
+        ("avg_latency_cycles_bits", r.avg_latency_cycles.to_bits()),
+        ("p99_latency_cycles_bits", r.p99_latency_cycles.to_bits()),
+        ("max_latency_cycles_bits", r.max_latency_cycles.to_bits()),
+        ("avg_power_mw_bits", r.avg_power_mw.to_bits()),
+        ("normalized_power_bits", r.normalized_power.to_bits()),
+        ("transitions", r.transitions),
+        ("power_series_len", r.power_series.len() as u64),
+    ];
+    lines.iter().map(|(k, v)| format!("{k} {v}\n")).collect()
+}
+
+fn fixture_run(exp: Experiment) -> RunResult {
+    exp.run_uniform(FIXTURE_RATE, PacketSize::Fixed(4))
+}
+
+/// Rewrites the committed fixture and its fingerprint from the current
+/// build. Run it only on purpose (`cargo test --test checkpoint --
+/// --ignored regenerate_checkpoint_fixture`): the two tests below exist to
+/// catch any build whose checkpoint bytes or resumed run differ from it.
+#[test]
+#[ignore = "rewrites the committed fixture"]
+fn regenerate_checkpoint_fixture() {
+    let unbroken = fixture_run(fixture_experiment());
+    let saved = fixture_run(fixture_experiment().save_at(FIXTURE_SAVE, FIXTURE_CKPT));
+    assert_eq!(fixture_fingerprint(&saved), fixture_fingerprint(&unbroken));
+    std::fs::write(FIXTURE_FINGERPRINT, fixture_fingerprint(&unbroken)).expect("write fingerprint");
+}
+
+#[test]
+fn checkpoint_fixture_resumes_to_its_fingerprint() {
+    let want = std::fs::read_to_string(FIXTURE_FINGERPRINT).expect("fixture fingerprint");
+    let resumed = fixture_run(fixture_experiment().resume(FIXTURE_CKPT));
+    assert!(resumed.resumed);
+    assert_eq!(fixture_fingerprint(&resumed), want);
+}
+
+#[test]
+fn checkpoint_fixture_reencodes_byte_for_byte() {
+    let bytes = std::fs::read(FIXTURE_CKPT).expect("fixture checkpoint");
+    let ckpt = Checkpoint::from_bytes(&bytes).expect("fixture parses");
+    let serde::Value::Map(mut sim) = ckpt.sim.clone() else {
+        panic!("sim state is not a map");
+    };
+    let net_state = &mut sim
+        .iter_mut()
+        .find(|(k, _)| k == "net")
+        .expect("sim state holds the network")
+        .1;
+    // Restore into a freshly built network, then write it back out.
+    let mut net = lumen_noc::Network::new(&ckpt.config.noc);
+    net.restore_state(net_state).expect("fixture restores");
+    let audit = lumen_noc::audit(&net);
+    audit.assert_ok();
+    assert!(
+        audit.flits_buffered > 0,
+        "the fixture must hold buffered flits at its save point"
+    );
+    *net_state = net.checkpoint_state();
+    let reencoded = Checkpoint {
+        sim: serde::Value::Map(sim),
+        ..ckpt
+    };
+    assert!(
+        reencoded.to_bytes() == bytes,
+        "restored state re-encodes to different bytes"
+    );
+}
