@@ -265,12 +265,21 @@ impl BenchArgs {
     }
 
     /// The shard count a run on a `host`-core machine should actually
-    /// use: `--shards` clamped to the cores, mirroring
-    /// [`Experiment::shards_auto`]'s host clamp. Shards are a pure
+    /// use: `--shards` clamped to the cores. Shards are a pure
     /// performance knob (results are bit-identical at every count), so
     /// an oversubscribed request like `--jobs 4 --shards 2` on a 1-core
     /// host must *degrade* — fewer shards, fewer jobs — never error and
     /// never time-slice shard workers against each other.
+    ///
+    /// With a core per shard the sharded engine pays: six paired
+    /// `simbench` runs of the 32×32 datacenter mesh on a 2-core host gave
+    /// a median of 1.36× over sequential at 2 shards (1.13× since the
+    /// dense router layout sped up the sequential engine more; see
+    /// EXPERIMENTS.md). More shards than cores can only add coordination
+    /// cost, since workers time-slice one core and the per-window gates
+    /// become pure overhead: 2 shards on a 1-core host once measured
+    /// 0.89–0.92× of sequential (a historical figure from an older
+    /// engine).
     pub fn resolved_shards(&self, host: usize) -> usize {
         self.shards.clamp(1, host.max(1))
     }
@@ -754,10 +763,8 @@ mod tests {
         assert_eq!(a.executor_for(2).jobs(), 1);
         assert_eq!(a.resolved_shards(8), 2);
         assert_eq!(a.executor_for(8).jobs(), 4);
-        // The resolved shard count matches what Experiment::shards_auto
-        // would pick on the same host (topology permitting), so the
-        // process default installed by parse() and the per-experiment
-        // clamp can never disagree.
+        // On a paper mesh the resolved count is the host clamp alone: the
+        // topology's own cut limit never lowers it further.
         let noc = lumen_noc::NocConfig::paper_default();
         let host = Executor::available().jobs();
         assert_eq!(

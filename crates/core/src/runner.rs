@@ -100,28 +100,11 @@ impl Experiment {
     }
 
     /// Sets the number of parallel shards the run is split into
-    /// (clamped to the mesh height; 1 = sequential engine). This is the
-    /// *explicit* knob: the run uses the requested partition even when
-    /// the host has fewer cores than shards, which is what differential
-    /// tests and protocol benchmarks want. Callers that just want the
-    /// fastest run should use [`Experiment::shards_auto`].
+    /// (clamped to the mesh height; 1 = sequential engine). The run uses
+    /// the requested partition even when the host has fewer cores than
+    /// shards; results are bit-identical at every count.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
-        self
-    }
-
-    /// Like [`Experiment::shards`], but host-aware: the count is also
-    /// clamped to the machine's core count (see
-    /// [`crate::shard::host_shards`]). Results are bit-identical either
-    /// way — shard count is a pure performance knob — so with a core per
-    /// shard this runs the requested partition (a paired median of 1.36×
-    /// faster at 2 shards on a 2-core host, for the 32×32 datacenter
-    /// mesh), and on an
-    /// oversubscribed host it degrades toward the sequential engine
-    /// instead of paying conservative-sync coordination for no
-    /// parallelism.
-    pub fn shards_auto(mut self, shards: usize) -> Self {
-        self.shards = crate::shard::host_shards(&self.config.noc, shards);
         self
     }
 
@@ -550,22 +533,6 @@ mod tests {
         );
         assert_eq!(par.avg_power_mw.to_bits(), seq.avg_power_mw.to_bits());
         assert_eq!(par.transitions, seq.transitions);
-    }
-
-    #[test]
-    fn shards_auto_is_host_clamped_and_exact() {
-        // shards_auto may resolve to any count depending on the host's
-        // cores; whatever it picks must be bit-identical to sequential.
-        let exp = small(true);
-        let seq = exp.clone().shards(1).run_uniform(0.1, PacketSize::Fixed(4));
-        let auto = exp.shards_auto(4).run_uniform(0.1, PacketSize::Fixed(4));
-        assert_eq!(auto.packets_delivered, seq.packets_delivered);
-        assert_eq!(
-            auto.avg_latency_cycles.to_bits(),
-            seq.avg_latency_cycles.to_bits()
-        );
-        assert_eq!(auto.avg_power_mw.to_bits(), seq.avg_power_mw.to_bits());
-        assert_eq!(auto.transitions, seq.transitions);
     }
 
     #[test]

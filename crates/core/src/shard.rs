@@ -1,6 +1,6 @@
 //! The sharded conservative-parallel simulation backend.
 //!
-//! [`run_sharded`] partitions the fabric into `S` contiguous router
+//! [`run_sharded_with`] partitions the fabric into `S` contiguous router
 //! bands — the cuts come from the topology
 //! ([`Topology::shard_cuts`]; row bands on meshes and tori, leaf bands
 //! on the folded Clos) — gives each band its own [`PowerAwareSim`]
@@ -164,27 +164,6 @@ pub fn default_shards() -> usize {
 /// further clamped to the delivery-key ceiling of `MAX_SHARDS` (16).
 pub fn effective_shards(noc: &NocConfig, requested: usize) -> usize {
     requested.clamp(1, noc.topo().max_shards().min(MAX_SHARDS))
-}
-
-/// [`effective_shards`] further clamped to the host's core count: the
-/// shard count a run should *actually* use when the caller wants speed
-/// rather than a specific partition. Shard count is a pure performance
-/// knob — results are bit-identical at every count (the differential
-/// wall in `tests/tests/lookahead.rs` pins this). With a core per shard
-/// the engine pays: 2 shards of the 32×32 datacenter mesh ran a paired
-/// median of 1.36× faster than sequential on a 2-core host. Running more
-/// shards than the host has cores can only add coordination cost:
-/// workers time-slice one core, alternating every couple of lookahead
-/// windows, and the conservative protocol's per-window gates become
-/// pure overhead (2 shards on a 1-core host once measured 0.89–0.92× of
-/// sequential). On such hosts this returns a smaller count (down to
-/// 1 = the sequential engine). Use [`effective_shards`] (or
-/// [`Experiment::shards`](crate::runner::Experiment::shards), which
-/// never host-clamps) when the point *is* the partition — differential
-/// tests and protocol benchmarks.
-pub fn host_shards(noc: &NocConfig, requested: usize) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    effective_shards(noc, requested.min(cores))
 }
 
 // ---------------------------------------------------------------------
@@ -771,7 +750,7 @@ impl Coordinator {
 // The parallel run
 // ---------------------------------------------------------------------
 
-/// The outcome of a [`run_sharded`] call.
+/// The outcome of a [`run_sharded_with`] call.
 pub struct ShardedOutcome {
     /// The merged system, equivalent to the sequential engine's final
     /// model: every accessor (`latency_summary`, `energy_nj`, series,
@@ -810,36 +789,14 @@ pub struct ShardedOutcome {
 /// engine verbatim), producing results
 /// bit-identical to [`PowerAwareSim::build_engine`] driven sequentially
 /// over the same warmup/measure schedule.
-pub fn run_sharded(
-    config: SystemConfig,
-    source: Box<dyn TrafficSource + Send>,
-    sample_every: Option<u64>,
-    telemetry: TelemetryConfig,
-    warmup_cycles: u64,
-    measure_cycles: u64,
-    shards: usize,
-) -> ShardedOutcome {
-    run_sharded_with(
-        config,
-        source,
-        sample_every,
-        telemetry,
-        warmup_cycles,
-        measure_cycles,
-        shards,
-        None,
-        RouteTableMode::Auto,
-    )
-}
-
-/// [`run_sharded`] with an explicit cap on the conservative lookahead
-/// (barrier window length, in router cycles) and an explicit
-/// [`RouteTableMode`]. `Some(1)` reproduces the pre-lookahead
+///
+/// `lookahead_cap` caps the conservative lookahead (barrier window
+/// length, in router cycles): `Some(1)` reproduces the pre-lookahead
 /// one-cycle-window protocol exactly; `None` uses the full static bound.
-/// Results are bit-identical at every cap and route-table mode — both
-/// are pure performance knobs. The route table is resolved **once** on
-/// the caller's thread and the same immutable `Arc` handed to every
-/// shard replica, so replicas never redo the all-pairs enumeration.
+/// Results are bit-identical at every cap. `route_table` is resolved
+/// **once** on the caller's thread and the same immutable `Arc` handed
+/// to every shard replica, so replicas never redo the all-pairs
+/// enumeration.
 #[allow(clippy::too_many_arguments)]
 pub fn run_sharded_with(
     config: SystemConfig,
@@ -868,7 +825,6 @@ pub fn run_sharded_with(
             sample_every,
             telemetry,
             route_table,
-            false,
             None,
         );
         let started = Instant::now();
@@ -991,10 +947,7 @@ pub fn run_sharded_with(
             let clocks = &clocks;
             let ir_lens = &ir_lens;
             let ledger_links = boundary_out[s].clone();
-            let table_mode = match &shared_table {
-                Some(t) => RouteTableMode::Shared(Arc::clone(t)),
-                None => RouteTableMode::Off,
-            };
+            let table_mode = RouteTableMode::Shared(Arc::clone(&shared_table));
             handles.push(scope.spawn(move || {
                 let mut ledger = CreditLedger::new(ledger_links, link_count, &cfg.noc, lookahead);
                 let ctx = ShardCtx::new(spec, owner, to_owner, s_count);
@@ -1009,7 +962,6 @@ pub fn run_sharded_with(
                     sample_every,
                     telemetry,
                     table_mode,
-                    false,
                     Some(Box::new(ctx)),
                 );
                 let mut coordinator = coordinator;
@@ -1323,17 +1275,6 @@ mod tests {
         config
     }
 
-    #[test]
-    fn host_shards_clamps_to_cores_and_topology() {
-        let noc = NocConfig::small_for_tests();
-        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let h = host_shards(&noc, 64);
-        assert!(h >= 1);
-        assert!(h <= cores, "host_shards must never oversubscribe");
-        assert!(h <= effective_shards(&noc, 64));
-        assert_eq!(host_shards(&noc, 1), 1);
-    }
-
     fn uniform(config: &SystemConfig, rate: f64) -> Box<dyn TrafficSource + Send> {
         Box::new(SyntheticSource::new(
             &config.noc,
@@ -1421,24 +1362,20 @@ mod tests {
     /// deliveries, latency statistics, energy, transitions, and audit.
     fn assert_matches_sequential(config: SystemConfig, rate: f64, sample: Option<u64>) {
         let (warmup, measure) = (500, 3_000);
-        let seq = run_sharded(
-            config.clone(),
-            uniform(&config, rate),
-            sample,
-            TelemetryConfig::default(),
-            warmup,
-            measure,
-            1,
-        );
-        let par = run_sharded(
-            config.clone(),
-            uniform(&config, rate),
-            sample,
-            TelemetryConfig::default(),
-            warmup,
-            measure,
-            2,
-        );
+        let run = |shards| {
+            run_sharded_with(
+                config.clone(),
+                uniform(&config, rate),
+                sample,
+                TelemetryConfig::default(),
+                warmup,
+                measure,
+                shards,
+                None,
+                RouteTableMode::Auto,
+            )
+        };
+        let (seq, par) = (run(1), run(2));
         let end = seq.end;
         assert_eq!(par.end, end);
         // One busy time per worker; every worker simulated something.
@@ -1501,7 +1438,7 @@ mod tests {
         assert_eq!(static_lookahead(&small, 2), 3);
         // One shard has no cut: lookahead degenerates to the uniform
         // default, which must still be safe (and is, trivially: it is
-        // never used — run_sharded falls back to the sequential engine).
+        // never used — run_sharded_with falls back to the sequential engine).
         assert!(static_lookahead(&small, 1) >= 1);
     }
 

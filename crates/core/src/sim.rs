@@ -190,8 +190,7 @@ pub struct PowerAwareSim {
     pub(crate) effects: Vec<Effect>,
     pub(crate) packets: Vec<Packet>,
     // Parallel-shard context: `Some` only on a shard replica driven by
-    // `crate::shard::run_sharded`. `None` is the sequential engine, whose
-    // behavior this PR leaves bit-for-bit untouched.
+    // `crate::shard::run_sharded_with`. `None` is the sequential engine.
     pub(crate) shard: Option<Box<crate::shard::ShardCtx>>,
     // Telemetry recording state: `None` when disabled, so the only cost on
     // the disabled path is this Option check at policy-window boundaries.
@@ -214,7 +213,6 @@ impl PowerAwareSim {
             sample_every,
             TelemetryConfig::default(),
             RouteTableMode::Auto,
-            false,
             None,
         )
     }
@@ -234,46 +232,22 @@ impl PowerAwareSim {
             sample_every,
             telemetry,
             RouteTableMode::Auto,
-            false,
-            None,
-        )
-    }
-
-    /// [`PowerAwareSim::build_engine`], but on the reference binary-heap
-    /// calendar instead of the bucketed cycle wheel. Outputs are
-    /// bit-identical (both calendars deliver the same `(time, seq)`
-    /// sequence); this exists so differential tests can pin the
-    /// equivalence.
-    pub fn build_engine_reference_queue(
-        config: SystemConfig,
-        source: Box<dyn TrafficSource + Send>,
-        sample_every: Option<u64>,
-    ) -> Engine<PowerAwareSim> {
-        Self::build_engine_with(
-            config,
-            source,
-            sample_every,
-            TelemetryConfig::default(),
-            RouteTableMode::Auto,
-            true,
             None,
         )
     }
 
     /// The one builder behind every public constructor. `route_table`
-    /// picks how the network routes (output is bit-identical in every
-    /// mode), `reference_queue` selects the binary-heap calendar, and
-    /// `shard` makes the engine one replica of the conservative-parallel
-    /// backend: it holds the full network image but only ticks, polices,
-    /// and fault-schedules the region the context owns.
-    #[allow(clippy::too_many_arguments)]
+    /// picks whether the network builds its route table or adopts a
+    /// shared one, and `shard` makes the engine one replica of the
+    /// conservative-parallel backend: it holds the full network image but
+    /// only ticks, polices, and fault-schedules the region the context
+    /// owns.
     pub(crate) fn build_engine_with(
         config: SystemConfig,
         source: Box<dyn TrafficSource + Send>,
         sample_every: Option<u64>,
         telemetry: TelemetryConfig,
         route_table: RouteTableMode,
-        reference_queue: bool,
         shard: Option<Box<crate::shard::ShardCtx>>,
     ) -> Engine<PowerAwareSim> {
         config.validate();
@@ -415,11 +389,7 @@ impl PowerAwareSim {
         // fan-out, plus the tick/policy/laser/fault tail. Buckets are one
         // router cycle wide so same-cycle arrivals drain as one batch.
         let capacity = link_count * 8 + 64;
-        let queue = if reference_queue {
-            EventQueue::reference_heap_with_capacity(capacity)
-        } else {
-            EventQueue::with_capacity_and_width(capacity, cycle)
-        };
+        let queue = EventQueue::with_capacity_and_width(capacity, cycle);
         let mut engine = Engine::with_queue(sim, queue);
         engine.queue_mut().schedule(Picos::ZERO, SimEvent::CoreTick);
         if three_level {
@@ -1636,11 +1606,16 @@ mod tests {
                 ..FaultConfig::disabled()
             };
             let source = uniform_source(&config, 0.15);
-            let mut engine = if reference {
-                PowerAwareSim::build_engine_reference_queue(config, source, Some(500))
-            } else {
-                PowerAwareSim::build_engine(config, source, Some(500))
-            };
+            let mut engine = PowerAwareSim::build_engine(config, source, Some(500));
+            if reference {
+                // Move the cold-start calendar onto the heap in drain
+                // order, which keeps same-time events in their order.
+                let pending = engine.drain_pending();
+                *engine.queue_mut() = EventQueue::reference_heap();
+                for (at, ev) in pending {
+                    engine.queue_mut().schedule(at, ev);
+                }
+            }
             let end = run_cycles(&mut engine, 12_000);
             let sim = engine.model();
             (

@@ -20,6 +20,7 @@ use crate::routing::RoutingAlgorithm;
 use crate::topology::Topology;
 use lumen_desim::Picos;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// An externally-visible consequence of stepping the network; the driver
 /// schedules each at its `at` time.
@@ -73,10 +74,9 @@ pub struct Network {
     sinks: Vec<SinkNode>,
     links: Vec<Link>,
     // Precomputed flat routing table serving the RC stage (see
-    // `crate::route_table`); `None` routes on the fly. Shared by `Arc` so
-    // shard replicas adopt one build instead of each redoing the
-    // all-pairs enumeration.
-    route_table: Option<std::sync::Arc<RouteTable>>,
+    // `crate::route_table`). Shared by `Arc` so shard replicas adopt one
+    // build instead of each redoing the all-pairs enumeration.
+    route_table: Arc<RouteTable>,
     // Dense copies of each link's endpoints (fixed at construction).
     // `Link` is a large struct (rate ladder state, window statistics), so
     // the per-event delivery paths — ~2 lookups per flit hop, tens of
@@ -168,10 +168,9 @@ impl Network {
     }
 
     /// Builds the network with an explicit routing algorithm and route-
-    /// table mode: [`RouteTableMode::Auto`] precomputes the flat table
-    /// (unless it is oversized), [`RouteTableMode::Off`] routes
-    /// on the fly, and [`RouteTableMode::Shared`] adopts a table built
-    /// once for many replicas (the sharded backend).
+    /// table mode: [`RouteTableMode::Auto`] precomputes the flat table,
+    /// and [`RouteTableMode::Shared`] adopts a table built once for many
+    /// replicas (the sharded backend).
     ///
     /// # Panics
     ///
@@ -186,14 +185,9 @@ impl Network {
         // Resolve against the *effective* algorithm: `with_routing` may
         // override the config's choice, and the table must serve the
         // algorithm the routers actually run.
-        let route_table = match mode {
-            RouteTableMode::Auto => RouteTable::shared(config, routing),
-            other => {
-                let mut cfg = config.clone();
-                cfg.routing = routing;
-                other.resolve(&cfg)
-            }
-        };
+        let mut effective = config.clone();
+        effective.routing = routing;
+        let route_table = mode.resolve(&effective);
         let topo = config.topo();
         let mut routers: Vec<Router> = (0..topo.router_count())
             .map(|r| Router::new(RouterId(r as u32), routing, config))
@@ -316,10 +310,9 @@ impl Network {
                 .all(|n| self.active_sources.contains(n) == (self.sources[n].backlog_flits() > 0))
     }
 
-    /// The precomputed route table serving this network's RC stage, if
-    /// any (`None` when routing on the fly).
-    pub fn route_table(&self) -> Option<&std::sync::Arc<RouteTable>> {
-        self.route_table.as_ref()
+    /// The precomputed route table serving this network's RC stage.
+    pub fn route_table(&self) -> &Arc<RouteTable> {
+        &self.route_table
     }
 
     /// The configuration the network was built with.
@@ -449,7 +442,7 @@ impl Network {
             sources[n].tick(now, links, effects);
             sources[n].backlog_flits() > 0
         });
-        let table = route_table.as_deref();
+        let table: &RouteTable = route_table;
         active_routers.sweep(routers.clone(), |r| {
             all_routers[r].tick(now, config, table, links, effects);
             !all_routers[r].is_idle()
@@ -943,6 +936,40 @@ mod tests {
             assert_eq!(d.ejected.len() as u64, id);
             assert!(d.net.is_quiescent());
         }
+    }
+
+    #[test]
+    fn routing_override_routes_through_a_table_for_the_override() {
+        // The routers run the overriding algorithm, so the table must be
+        // built for it, not for the configuration's XY.
+        let config = NocConfig::paper_default();
+        assert_eq!(config.routing, RoutingAlgorithm::XY);
+        let mut west_first = config.clone();
+        west_first.routing = RoutingAlgorithm::WestFirst;
+        let net = Network::with_routing(&config, RoutingAlgorithm::WestFirst);
+        let table = net.route_table();
+        assert_eq!(table.algorithm(), RoutingAlgorithm::WestFirst);
+        assert!(table.matches(&west_first, RoutingAlgorithm::WestFirst));
+
+        let shared = RouteTable::shared(&west_first, RoutingAlgorithm::WestFirst);
+        let mode = RouteTableMode::Shared(Arc::clone(&shared));
+        let net = Network::with_route_table(&config, RoutingAlgorithm::WestFirst, mode);
+        let table = net.route_table();
+        assert!(Arc::ptr_eq(table, &shared));
+        assert_eq!(table.algorithm(), RoutingAlgorithm::WestFirst);
+        assert!(table.matches(&west_first, RoutingAlgorithm::WestFirst));
+    }
+
+    #[test]
+    #[should_panic(expected = "different geometry or algorithm")]
+    fn shared_table_for_the_config_algorithm_rejected_under_override() {
+        let config = NocConfig::paper_default();
+        let xy = RouteTable::shared(&config, RoutingAlgorithm::XY);
+        let _ = Network::with_route_table(
+            &config,
+            RoutingAlgorithm::WestFirst,
+            RouteTableMode::Shared(xy),
+        );
     }
 
     #[test]

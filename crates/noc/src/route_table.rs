@@ -52,9 +52,18 @@
 //! tie-breaks and break bit-reproducibility. This is why entries store
 //! explicit ordered ports rather than a port bitmask — `WestFirst`
 //! pushes East (port `npr+2`) before South/North (`npr+1`/`npr+0`), an
-//! order no ascending bitmask walk can reproduce. The on-the-fly path
-//! stays alive as the oracle the table is built from (and differentially
-//! tested against), and as the fallback for oversized tables.
+//! order no ascending bitmask walk can reproduce. The table is the only
+//! routing path at run time; `route_inter` survives as the function the
+//! table is built from and the oracle tests compare it against.
+//!
+//! ## Size bound
+//!
+//! Every configuration that passes [`NocConfig::validate`] gets a table.
+//! `width` and `height` are `u8`, so a delta table holds at most
+//! 509 × 509 entries ≈ 1 MiB. A folded-Clos router has
+//! `max(nodes_per_rack + spines, leaves)` ports, so the `ports × vcs ≤ 64`
+//! check caps it at 64 leaves and 63 spines: at most 127 × 64 per-pair
+//! entries ≈ 32 KB.
 
 use crate::config::NocConfig;
 use crate::ids::{NodeId, PortId, RouterId};
@@ -65,10 +74,6 @@ use std::sync::Arc;
 /// Maximum number of minimal-route candidates any built-in algorithm
 /// yields (`WestFirst` on a mesh: up to East + South/North… bounded by 3).
 pub const MAX_ROUTE_CANDIDATES: usize = 3;
-
-/// Tables larger than this fall back to on-the-fly routing rather than
-/// paying the memory (64 MB ≈ a 4096-router fabric).
-pub const MAX_ROUTE_TABLE_BYTES: usize = 64 << 20;
 
 /// A packed, ordered candidate set: the output ports a head flit at one
 /// router may take toward one destination rack, in the exact order the
@@ -136,13 +141,10 @@ impl RouteSet {
 /// How a [`Network`](crate::network::Network) acquires its route table.
 #[derive(Debug, Clone, Default)]
 pub enum RouteTableMode {
-    /// Build a table for the configured topology/algorithm unless it
-    /// would exceed [`MAX_ROUTE_TABLE_BYTES`]. The default everywhere.
+    /// Build a table for the configured topology/algorithm. The default
+    /// everywhere.
     #[default]
     Auto,
-    /// Route on the fly (the pre-table behaviour): the oracle the
-    /// differential tests compare the table path against.
-    Off,
     /// Adopt a table built elsewhere. The sharded backend builds one
     /// table per run and hands the same `Arc` to every shard replica, so
     /// replicas never rebuild it.
@@ -151,17 +153,16 @@ pub enum RouteTableMode {
 
 impl RouteTableMode {
     /// Resolves the mode against a configuration: the table the network
-    /// should route through, if any.
-    pub fn resolve(self, config: &NocConfig) -> Option<Arc<RouteTable>> {
+    /// should route through.
+    pub fn resolve(self, config: &NocConfig) -> Arc<RouteTable> {
         match self {
             RouteTableMode::Auto => RouteTable::shared(config, config.routing),
-            RouteTableMode::Off => None,
             RouteTableMode::Shared(table) => {
                 assert!(
                     table.matches(config, config.routing),
                     "shared route table was built for a different geometry or algorithm"
                 );
-                Some(table)
+                table
             }
         }
     }
@@ -302,19 +303,9 @@ impl RouteTable {
         table
     }
 
-    /// Builds a shareable table unless oversized
-    /// (> [`MAX_ROUTE_TABLE_BYTES`]); `None` means route on the fly.
-    pub fn shared(config: &NocConfig, algo: RoutingAlgorithm) -> Option<Arc<RouteTable>> {
-        let entry_count = match config.topology {
-            TopologyKind::Mesh | TopologyKind::Torus => {
-                (2 * config.width as usize - 1) * (2 * config.height as usize - 1)
-            }
-            TopologyKind::FoldedClos { .. } => config.router_count() * config.rack_count(),
-        };
-        if entry_count * std::mem::size_of::<RouteSet>() > MAX_ROUTE_TABLE_BYTES {
-            return None;
-        }
-        Some(Arc::new(RouteTable::build(config, algo)))
+    /// Builds a table behind an `Arc`, ready to share across replicas.
+    pub fn shared(config: &NocConfig, algo: RoutingAlgorithm) -> Arc<RouteTable> {
+        Arc::new(RouteTable::build(config, algo))
     }
 
     /// The algorithm this table was built for.
@@ -503,11 +494,10 @@ mod tests {
     #[test]
     fn mode_resolution() {
         let c = NocConfig::small_for_tests();
-        assert!(RouteTableMode::Off.resolve(&c).is_none());
         let table = Arc::new(RouteTable::build(&c, c.routing));
         let resolved = RouteTableMode::Shared(Arc::clone(&table)).resolve(&c);
-        assert!(Arc::ptr_eq(&resolved.unwrap(), &table));
-        assert!(RouteTableMode::Auto.resolve(&c).is_some());
+        assert!(Arc::ptr_eq(&resolved, &table));
+        assert!(RouteTableMode::Auto.resolve(&c).matches(&c, c.routing));
     }
 
     #[test]

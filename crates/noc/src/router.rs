@@ -24,8 +24,8 @@ use crate::flit::FlitKind;
 use crate::ids::{LinkId, PortId, RouterId, VcId};
 use crate::link::Link;
 use crate::network::Effect;
-use crate::route_table::{RouteSet, RouteTable};
-use crate::routing::{route_candidates, RoutingAlgorithm};
+use crate::route_table::RouteTable;
+use crate::routing::RoutingAlgorithm;
 use lumen_desim::Picos;
 use serde::{Deserialize, Serialize, Value};
 
@@ -79,6 +79,7 @@ struct OutputPort {
 #[derive(Debug, Clone)]
 pub struct Router {
     id: RouterId,
+    // The algorithm the route table serves; recorded in checkpoints.
     routing: RoutingAlgorithm,
     vcs: usize,
     inputs: Box<[InputPort]>,
@@ -94,7 +95,6 @@ pub struct Router {
     // Requesters are bucketed per output port as a slot mask, so
     // allocation iterates set bits instead of pushing through Vecs.
     scratch_port_mask: Box<[u64]>,
-    scratch_routes: Vec<PortId>,
     /// Flits this router has switched over its lifetime.
     pub flits_switched: u64,
     /// Flits accepted into input buffers over its lifetime. The invariant
@@ -154,10 +154,6 @@ impl Router {
             vc_owner: vec![None; slots].into_boxed_slice(),
             sa_rotate: 0,
             scratch_port_mask: vec![0; p].into_boxed_slice(),
-            // Sized to the candidate bound so the fallback RC path never
-            // grows it mid-run (audited: route_candidates pushes at most
-            // MAX_ROUTE_CANDIDATES ports, or a single ejection port).
-            scratch_routes: Vec::with_capacity(crate::route_table::MAX_ROUTE_CANDIDATES),
             flits_switched: 0,
             flits_accepted: 0,
             sa_denials: 0,
@@ -240,14 +236,13 @@ impl Router {
     /// One core-clock cycle: SA/ST, then VA, then RC, then statistics.
     ///
     /// `links` is the network-global link table; emitted flit departures
-    /// and credit returns are appended to `effects`. `route_table`, when
-    /// present, serves RC with precomputed candidates (identical order);
-    /// `None` routes on the fly.
+    /// and credit returns are appended to `effects`. `route_table` serves
+    /// RC and must be built for this router's algorithm.
     pub fn tick(
         &mut self,
         now: Picos,
         config: &NocConfig,
-        route_table: Option<&RouteTable>,
+        route_table: &RouteTable,
         links: &mut [Link],
         effects: &mut Vec<Effect>,
     ) {
@@ -256,7 +251,7 @@ impl Router {
         }
         self.switch_allocation(now, config, links, effects);
         self.vc_allocation();
-        self.route_computation(config, route_table);
+        self.route_computation(route_table);
         for input in self.inputs.iter_mut() {
             input.occupancy_accum += input.buffer.total_occupancy() as u64;
         }
@@ -444,7 +439,7 @@ impl Router {
     /// preferring ready links (not mid-transition) with the most
     /// downstream credits — which makes routing *power-aware*: traffic
     /// steers around links parked at low rates or disabled for relock.
-    fn route_computation(&mut self, config: &NocConfig, table: Option<&RouteTable>) {
+    fn route_computation(&mut self, table: &RouteTable) {
         let vcs = self.vcs;
         // Every rc_ready VC (Idle with a buffered head flit) computes its
         // route this cycle, so the whole set empties; take it up front.
@@ -462,19 +457,9 @@ impl Router {
                 front.kind.is_head(),
                 "non-head flit {front} at front of idle VC: wormhole order violated"
             );
-            let dst = front.dst;
-            // The hot path: one indexed load from the precomputed
-            // table. The fallback (RouteTableMode::Off, oversized
-            // tables) recomputes through the topology; both yield the
-            // same candidates in the same order, so selection below is
-            // bit-identical either way.
-            let candidates = match table {
-                Some(t) => t.candidates(self.id, dst),
-                None => {
-                    route_candidates(config, self.routing, self.id, dst, &mut self.scratch_routes);
-                    RouteSet::from_slice(&self.scratch_routes)
-                }
-            };
+            // One indexed load from the precomputed table, candidates in
+            // the algorithm's order (selection below breaks ties by it).
+            let candidates = table.candidates(self.id, front.dst);
             let cands = candidates.as_slice();
             let out_port = if cands.len() == 1 {
                 cands[0]
@@ -564,6 +549,8 @@ struct RouterRecord {
     outputs: Vec<OutputPortRecord>,
     sa_rotate: usize,
     scratch_port_mask: Vec<u64>,
+    // Always written empty and ignored on read: the routers no longer
+    // keep a route scratch, but the `lumen-ckpt/1` record still has it.
     scratch_routes: Vec<PortId>,
     flits_switched: u64,
     flits_accepted: u64,
@@ -635,7 +622,7 @@ impl Serialize for Router {
                 .collect(),
             sa_rotate: self.sa_rotate,
             scratch_port_mask: self.scratch_port_mask.to_vec(),
-            scratch_routes: self.scratch_routes.clone(),
+            scratch_routes: Vec::new(),
             flits_switched: self.flits_switched,
             flits_accepted: self.flits_accepted,
             sa_denials: self.sa_denials,
@@ -676,8 +663,6 @@ impl Deserialize for Router {
                 r.id
             )));
         }
-        let mut scratch_routes = Vec::with_capacity(crate::route_table::MAX_ROUTE_CANDIDATES);
-        scratch_routes.extend_from_slice(&r.scratch_routes);
         let vc_state = r
             .inputs
             .iter()
@@ -716,7 +701,6 @@ impl Deserialize for Router {
             vc_owner,
             sa_rotate: r.sa_rotate,
             scratch_port_mask: r.scratch_port_mask.into_boxed_slice(),
-            scratch_routes,
             flits_switched: r.flits_switched,
             flits_accepted: r.flits_accepted,
             sa_denials: r.sa_denials,
@@ -736,23 +720,20 @@ mod tests {
     use crate::ids::{NodeId, PacketId};
     use crate::link::{Endpoint, LinkKind};
     use lumen_opto::Gbps;
-    use std::sync::Arc;
 
     /// A 1-router harness: router 0 of a 2×2 mesh with 2 local ports,
     /// with an ejection link on local port 0 and an East link.
     struct Harness {
         config: NocConfig,
         router: Router,
-        table: Option<Arc<RouteTable>>,
+        table: RouteTable,
         links: Vec<Link>,
         effects: Vec<Effect>,
         now: Picos,
     }
 
     impl Harness {
-        /// Routes through the precomputed table when `table` is set, on
-        /// the fly otherwise.
-        fn new(table: bool) -> Self {
+        fn new() -> Self {
             let config = NocConfig::small_for_tests();
             let mut router = Router::new(RouterId(0), RoutingAlgorithm::XY, &config);
             let eject = Link::new(
@@ -785,7 +766,7 @@ mod tests {
             router.connect_output(PortId(0), LinkId(0));
             router.connect_output(PortId(4), LinkId(1));
             router.connect_input(PortId(1), LinkId(7)); // pretend injection feeder
-            let table = table.then(|| Arc::new(RouteTable::build(&config, RoutingAlgorithm::XY)));
+            let table = RouteTable::build(&config, RoutingAlgorithm::XY);
             Harness {
                 config,
                 router,
@@ -796,16 +777,11 @@ mod tests {
             }
         }
 
-        /// One harness per RC path: table-backed, then on the fly.
-        fn both() -> [Harness; 2] {
-            [Harness::new(true), Harness::new(false)]
-        }
-
         fn tick(&mut self) {
             self.router.tick(
                 self.now,
                 &self.config,
-                self.table.as_deref(),
+                &self.table,
                 &mut self.links,
                 &mut self.effects,
             );
@@ -819,170 +795,164 @@ mod tests {
 
     #[test]
     fn head_flit_pipeline_latency() {
-        for mut h in Harness::both() {
-            // Destination node 0 lives on this router → ejection port 0.
-            let pkt = packet_to(NodeId(0), 1);
-            for f in pkt.into_flits() {
-                h.router.accept_flit(PortId(1), VcId(0), f);
-            }
-            // Cycle 1: RC, cycle 2: VA, cycle 3: SA (flit pops), ST at cycle 4.
-            h.tick();
-            assert!(h.effects.is_empty());
-            assert_eq!(
-                h.router.vc_state(PortId(1), VcId(0)),
-                VcState::VcAlloc { out_port: PortId(0) }
-            );
-            h.tick();
-            assert!(matches!(h.router.vc_state(PortId(1), VcId(0)), VcState::Active { .. }));
-            h.tick();
-            // SA granted during the 3rd tick; flit departure scheduled.
-            let flit_events: Vec<&Effect> = h
-                .effects
-                .iter()
-                .filter(|e| matches!(e, Effect::Flit { .. }))
-                .collect();
-            assert_eq!(flit_events.len(), 1);
-            if let Effect::Flit { link, at, .. } = flit_events[0] {
-                assert_eq!(*link, LinkId(0));
-                // ST at cycle 3 start + 1 cycle, + 1 cycle serialization + prop.
-                let expect = h.config.cycle() * 3 + h.config.cycle() + h.config.propagation;
-                assert_eq!(*at, expect);
-            }
-            // Credit returned to the feeder.
-            assert!(h
-                .effects
-                .iter()
-                .any(|e| matches!(e, Effect::Credit { link, .. } if *link == LinkId(7))));
-            // Tail flit released everything.
-            assert_eq!(h.router.vc_state(PortId(1), VcId(0)), VcState::Idle);
-            assert!(h.router.is_quiescent());
+        let mut h = Harness::new();
+        // Destination node 0 lives on this router → ejection port 0.
+        let pkt = packet_to(NodeId(0), 1);
+        for f in pkt.into_flits() {
+            h.router.accept_flit(PortId(1), VcId(0), f);
         }
+        // Cycle 1: RC, cycle 2: VA, cycle 3: SA (flit pops), ST at cycle 4.
+        h.tick();
+        assert!(h.effects.is_empty());
+        assert_eq!(
+            h.router.vc_state(PortId(1), VcId(0)),
+            VcState::VcAlloc { out_port: PortId(0) }
+        );
+        h.tick();
+        assert!(matches!(h.router.vc_state(PortId(1), VcId(0)), VcState::Active { .. }));
+        h.tick();
+        // SA granted during the 3rd tick; flit departure scheduled.
+        let flit_events: Vec<&Effect> = h
+            .effects
+            .iter()
+            .filter(|e| matches!(e, Effect::Flit { .. }))
+            .collect();
+        assert_eq!(flit_events.len(), 1);
+        if let Effect::Flit { link, at, .. } = flit_events[0] {
+            assert_eq!(*link, LinkId(0));
+            // ST at cycle 3 start + 1 cycle, + 1 cycle serialization + prop.
+            let expect = h.config.cycle() * 3 + h.config.cycle() + h.config.propagation;
+            assert_eq!(*at, expect);
+        }
+        // Credit returned to the feeder.
+        assert!(h
+            .effects
+            .iter()
+            .any(|e| matches!(e, Effect::Credit { link, .. } if *link == LinkId(7))));
+        // Tail flit released everything.
+        assert_eq!(h.router.vc_state(PortId(1), VcId(0)), VcState::Idle);
+        assert!(h.router.is_quiescent());
     }
 
     #[test]
     fn multi_flit_packet_streams_one_per_cycle() {
-        for mut h in Harness::both() {
-            for f in packet_to(NodeId(0), 3).into_flits() {
-                h.router.accept_flit(PortId(1), VcId(0), f);
-            }
-            for _ in 0..6 {
-                h.tick();
-            }
-            let departures: Vec<Picos> = h
-                .effects
-                .iter()
-                .filter_map(|e| match e {
-                    Effect::Flit { at, .. } => Some(*at),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(departures.len(), 3);
-            // Consecutive flits leave one cycle apart (full-rate link).
-            assert_eq!(departures[1] - departures[0], h.config.cycle());
-            assert_eq!(departures[2] - departures[1], h.config.cycle());
+        let mut h = Harness::new();
+        for f in packet_to(NodeId(0), 3).into_flits() {
+            h.router.accept_flit(PortId(1), VcId(0), f);
         }
+        for _ in 0..6 {
+            h.tick();
+        }
+        let departures: Vec<Picos> = h
+            .effects
+            .iter()
+            .filter_map(|e| match e {
+                Effect::Flit { at, .. } => Some(*at),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(departures.len(), 3);
+        // Consecutive flits leave one cycle apart (full-rate link).
+        assert_eq!(departures[1] - departures[0], h.config.cycle());
+        assert_eq!(departures[2] - departures[1], h.config.cycle());
     }
 
     #[test]
     fn credits_block_when_exhausted() {
-        for mut h in Harness::both() {
-            // Drain all credits from output 0 (depth 4 in the test config),
-            // feeding flits in only as buffer space allows (as a credit-
-            // respecting upstream would).
-            let depth = h.config.depth_per_vc();
-            let mut pending: Vec<_> = packet_to(NodeId(0), 16).into_flits().take(8).collect();
-            pending.reverse();
-            for _ in 0..24 {
-                if let Some(&next) = pending.last() {
-                    if h.router.input_buffer(PortId(1)).free_slots(VcId(0)) > 0 {
-                        h.router.accept_flit(PortId(1), VcId(0), next);
-                        pending.pop();
-                    }
+        let mut h = Harness::new();
+        // Drain all credits from output 0 (depth 4 in the test config),
+        // feeding flits in only as buffer space allows (as a credit-
+        // respecting upstream would).
+        let depth = h.config.depth_per_vc();
+        let mut pending: Vec<_> = packet_to(NodeId(0), 16).into_flits().take(8).collect();
+        pending.reverse();
+        for _ in 0..24 {
+            if let Some(&next) = pending.last() {
+                if h.router.input_buffer(PortId(1)).free_slots(VcId(0)) > 0 {
+                    h.router.accept_flit(PortId(1), VcId(0), next);
+                    pending.pop();
                 }
-                h.tick();
             }
-            let sent = h
-                .effects
-                .iter()
-                .filter(|e| matches!(e, Effect::Flit { .. }))
-                .count();
-            // Only `depth` flits may leave before credits run out.
-            assert_eq!(sent, depth as usize);
-            // Returning one credit lets exactly one more through.
-            h.router.return_credit(PortId(0), VcId(0), h.config.depth_per_vc() as u16);
-            h.effects.clear();
             h.tick();
-            h.tick();
-            let sent_after = h
-                .effects
-                .iter()
-                .filter(|e| matches!(e, Effect::Flit { .. }))
-                .count();
-            assert_eq!(sent_after, 1);
         }
+        let sent = h
+            .effects
+            .iter()
+            .filter(|e| matches!(e, Effect::Flit { .. }))
+            .count();
+        // Only `depth` flits may leave before credits run out.
+        assert_eq!(sent, depth as usize);
+        // Returning one credit lets exactly one more through.
+        h.router.return_credit(PortId(0), VcId(0), h.config.depth_per_vc() as u16);
+        h.effects.clear();
+        h.tick();
+        h.tick();
+        let sent_after = h
+            .effects
+            .iter()
+            .filter(|e| matches!(e, Effect::Flit { .. }))
+            .count();
+        assert_eq!(sent_after, 1);
     }
 
     #[test]
     fn disabled_link_blocks_switch_allocation() {
-        for mut h in Harness::both() {
-            h.links[0].disable_until(Picos::from_us(1));
-            for f in packet_to(NodeId(0), 1).into_flits() {
-                h.router.accept_flit(PortId(1), VcId(0), f);
-            }
-            for _ in 0..10 {
-                h.tick();
-            }
-            assert!(h.effects.iter().all(|e| !matches!(e, Effect::Flit { .. })));
-            // After the disable window the flit flows.
-            while h.now < Picos::from_us(1) {
-                h.tick();
-            }
-            h.tick();
-            h.tick();
-            assert!(h.effects.iter().any(|e| matches!(e, Effect::Flit { .. })));
+        let mut h = Harness::new();
+        h.links[0].disable_until(Picos::from_us(1));
+        for f in packet_to(NodeId(0), 1).into_flits() {
+            h.router.accept_flit(PortId(1), VcId(0), f);
         }
+        for _ in 0..10 {
+            h.tick();
+        }
+        assert!(h.effects.iter().all(|e| !matches!(e, Effect::Flit { .. })));
+        // After the disable window the flit flows.
+        while h.now < Picos::from_us(1) {
+            h.tick();
+        }
+        h.tick();
+        h.tick();
+        assert!(h.effects.iter().any(|e| matches!(e, Effect::Flit { .. })));
     }
 
     #[test]
     fn slow_link_spaces_flits_by_serialization_time() {
-        for mut h in Harness::both() {
-            h.links[0].begin_rate_change(Picos::ZERO, Gbps::from_gbps(5.0), Picos::ZERO);
-            for f in packet_to(NodeId(0), 2).into_flits() {
-                h.router.accept_flit(PortId(1), VcId(0), f);
-            }
-            for _ in 0..10 {
-                h.tick();
-            }
-            let departures: Vec<Picos> = h
-                .effects
-                .iter()
-                .filter_map(|e| match e {
-                    Effect::Flit { at, .. } => Some(*at),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(departures.len(), 2);
-            // At 5 Gb/s a 16-bit flit takes 3200 ps = 2 cycles.
-            assert_eq!(departures[1] - departures[0], Picos::from_ps(3200));
+        let mut h = Harness::new();
+        h.links[0].begin_rate_change(Picos::ZERO, Gbps::from_gbps(5.0), Picos::ZERO);
+        for f in packet_to(NodeId(0), 2).into_flits() {
+            h.router.accept_flit(PortId(1), VcId(0), f);
         }
+        for _ in 0..10 {
+            h.tick();
+        }
+        let departures: Vec<Picos> = h
+            .effects
+            .iter()
+            .filter_map(|e| match e {
+                Effect::Flit { at, .. } => Some(*at),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(departures.len(), 2);
+        // At 5 Gb/s a 16-bit flit takes 3200 ps = 2 cycles.
+        assert_eq!(departures[1] - departures[0], Picos::from_ps(3200));
     }
 
     #[test]
     fn occupancy_accumulates() {
-        for mut h in Harness::both() {
-            for f in packet_to(NodeId(0), 2).into_flits() {
-                h.router.accept_flit(PortId(1), VcId(0), f);
-            }
-            h.tick();
-            assert_eq!(h.router.take_occupancy_accum(PortId(1)), 2);
-            assert_eq!(h.router.take_occupancy_accum(PortId(1)), 0);
+        let mut h = Harness::new();
+        for f in packet_to(NodeId(0), 2).into_flits() {
+            h.router.accept_flit(PortId(1), VcId(0), f);
         }
+        h.tick();
+        assert_eq!(h.router.take_occupancy_accum(PortId(1)), 2);
+        assert_eq!(h.router.take_occupancy_accum(PortId(1)), 0);
     }
 
     #[test]
     #[should_panic(expected = "credit overflow")]
     fn credit_overflow_detected() {
-        let mut h = Harness::new(true);
+        let mut h = Harness::new();
         let depth = h.config.depth_per_vc() as u16;
         h.router.return_credit(PortId(0), VcId(0), depth);
     }

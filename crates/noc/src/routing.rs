@@ -105,27 +105,6 @@ pub fn route_candidates(
     debug_assert!(!out.is_empty(), "no route from {here} to {dst}");
 }
 
-/// Computes the output port at `here` for a packet addressed to `dst`.
-///
-/// Returns the destination's local ejection port once the packet has
-/// reached its destination rack. For adaptive algorithms this returns
-/// the first (most deterministic) candidate; adaptive selection happens
-/// in the router via [`route_candidates`].
-pub fn route(config: &NocConfig, algo: RoutingAlgorithm, here: RouterId, dst: NodeId) -> PortId {
-    // A thread-local scratch keeps this allocation-free per call (traffic
-    // patterns and tests loop over it; the router hot path uses the
-    // precomputed table in `crate::route_table` instead).
-    std::thread_local! {
-        static SCRATCH: std::cell::RefCell<Vec<PortId>> =
-            std::cell::RefCell::new(Vec::with_capacity(crate::route_table::MAX_ROUTE_CANDIDATES));
-    }
-    SCRATCH.with(|scratch| {
-        let mut candidates = scratch.borrow_mut();
-        route_candidates(config, algo, here, dst, &mut candidates);
-        candidates[0]
-    })
-}
-
 /// Number of router-to-router hops of a minimal path (on the mesh, the
 /// Manhattan distance between the racks; wrap-aware on tori, up/down
 /// depth on the folded Clos).
@@ -142,6 +121,14 @@ mod tests {
 
     fn cfg() -> NocConfig {
         NocConfig::paper_default()
+    }
+
+    /// The one candidate a deterministic algorithm yields.
+    fn only(c: &NocConfig, algo: RoutingAlgorithm, here: RouterId, dst: NodeId) -> PortId {
+        let mut cands = Vec::new();
+        route_candidates(c, algo, here, dst, &mut cands);
+        assert_eq!(cands.len(), 1, "{algo:?} at {here} -> {dst}");
+        cands[0]
     }
 
     #[test]
@@ -163,11 +150,11 @@ mod tests {
         let here = c.router_at(RackCoord::new(1, 1));
         // Destination two columns east, one row south.
         let dst = c.node_at(c.router_at(RackCoord::new(3, 2)), 0);
-        assert_eq!(route(&c, RoutingAlgorithm::XY, here, dst), direction_port(&c, Direction::East));
+        assert_eq!(only(&c, RoutingAlgorithm::XY, here, dst), direction_port(&c, Direction::East));
         // After X is resolved, go south.
         let aligned = c.router_at(RackCoord::new(3, 1));
         assert_eq!(
-            route(&c, RoutingAlgorithm::XY, aligned, dst),
+            only(&c, RoutingAlgorithm::XY, aligned, dst),
             direction_port(&c, Direction::South)
         );
     }
@@ -177,7 +164,7 @@ mod tests {
         let c = cfg();
         let here = c.router_at(RackCoord::new(1, 1));
         let dst = c.node_at(c.router_at(RackCoord::new(3, 2)), 0);
-        assert_eq!(route(&c, RoutingAlgorithm::YX, here, dst), direction_port(&c, Direction::South));
+        assert_eq!(only(&c, RoutingAlgorithm::YX, here, dst), direction_port(&c, Direction::South));
     }
 
     #[test]
@@ -185,8 +172,8 @@ mod tests {
         let c = cfg();
         let r = c.router_at(RackCoord::new(3, 5));
         let dst = c.node_at(r, 4);
-        assert_eq!(route(&c, RoutingAlgorithm::XY, r, dst), PortId(4));
-        assert_eq!(route(&c, RoutingAlgorithm::YX, r, dst), PortId(4));
+        assert_eq!(only(&c, RoutingAlgorithm::XY, r, dst), PortId(4));
+        assert_eq!(only(&c, RoutingAlgorithm::YX, r, dst), PortId(4));
     }
 
     #[test]
@@ -199,7 +186,7 @@ mod tests {
             let mut here = RouterId(start as u32);
             let mut hops = 0;
             loop {
-                let port = route(&c, RoutingAlgorithm::XY, here, dst);
+                let port = only(&c, RoutingAlgorithm::XY, here, dst);
                 match port_direction(&c, port) {
                     None => break, // ejection port: arrived
                     Some(dir) => {
@@ -297,7 +284,6 @@ mod tests {
         for algo in [RoutingAlgorithm::XY, RoutingAlgorithm::YX] {
             route_candidates(&c, algo, RouterId(0), dst, &mut cands);
             assert_eq!(cands.len(), 1);
-            assert_eq!(cands[0], route(&c, algo, RouterId(0), dst));
         }
     }
 

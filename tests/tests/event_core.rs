@@ -192,11 +192,16 @@ fn full_sim_outputs_identical_on_both_calendars() {
             PacketSize::Fixed(4),
             lumen_desim::Rng::seed_from(config.seed),
         ));
-        let mut engine = if reference {
-            PowerAwareSim::build_engine_reference_queue(config, source, None)
-        } else {
-            PowerAwareSim::build_engine(config, source, None)
-        };
+        let mut engine = PowerAwareSim::build_engine(config, source, None);
+        if reference {
+            // Move the cold-start calendar onto the heap in drain order,
+            // which keeps same-time events in their order.
+            let pending = engine.drain_pending();
+            *engine.queue_mut() = EventQueue::reference_heap();
+            for (at, ev) in pending {
+                engine.queue_mut().schedule(at, ev);
+            }
+        }
         let horizon = Picos::from_ps(1600 * 15_000);
         engine.run_until(horizon);
         let sim = engine.model();

@@ -1,21 +1,22 @@
 //! Differential and bit-identity tests for the precomputed route table.
 //!
-//! The [`lumen_noc::RouteTable`] is a pure performance knob: it bakes
-//! `route_inter` into a dense flat array at build time so the router's
-//! RC stage becomes one indexed load. These tests pin the two promises
-//! that make that safe:
+//! The [`lumen_noc::RouteTable`] bakes `route_inter` into a dense flat
+//! array at build time so the router's RC stage becomes one indexed
+//! load; it is the only routing path at run time. These tests pin the
+//! two promises that make that safe:
 //!
 //! - **differential** — for random mesh/torus/Clos geometries and every
 //!   routing algorithm, the table's `candidates(here, dst)` equals the
-//!   on-the-fly `route_candidates` oracle for *every* `(router, node)`
-//!   pair, in the same candidate order (adaptive tie-breaks select by
-//!   position, so order equality — not set equality — is the contract);
+//!   `route_candidates` oracle for *every* `(router, node)` pair, spine
+//!   routers included, in the same candidate order (adaptive tie-breaks
+//!   select by position, so order equality — not set equality — is the
+//!   contract). All router code after the lookup is shared, so this is
+//!   what makes table routing equal to routing on the fly;
 //! - **bit identity** — a full system run produces bit-identical
-//!   results with the table enabled (`Auto`), shared explicitly
-//!   (`Shared`), and disabled (`Off`), sequential and sharded, on every
+//!   results whether each network builds its own table (`Auto`) or
+//!   adopts a pre-built one (`Shared`), sequential and sharded, on every
 //!   fabric, link policy, optical mode, fault schedule, and traffic
-//!   family the suite uses — exactly like shard count and lookahead
-//!   never change results.
+//!   family the suite uses.
 
 use std::sync::Arc;
 
@@ -40,14 +41,15 @@ fn noc(kind: TopologyKind, width: u8, height: u8, npr: u8) -> NocConfig {
     c
 }
 
-/// Asserts `RouteTable::build` agrees with the on-the-fly oracle for
-/// every `(here, dst)` pair of `config` under each algorithm.
+/// Asserts `RouteTable::build` agrees with the `route_candidates` oracle
+/// for every `(here, dst)` pair of `config` under each algorithm, from
+/// every router (Clos spines included).
 fn assert_table_matches_oracle(config: &NocConfig, algos: &[RoutingAlgorithm]) {
     let mut scratch: Vec<PortId> = Vec::new();
     for &algo in algos {
         let table = RouteTable::build(config, algo);
         assert!(table.matches(config, algo));
-        for here in 0..config.rack_count() {
+        for here in 0..config.router_count() {
             let here = RouterId(here as u32);
             for dst in 0..config.node_count() {
                 let dst = NodeId(dst as u32);
@@ -97,7 +99,7 @@ proptest! {
     }
 
     /// Random folded-Clos fabrics: up/down routing tables match the
-    /// oracle from every leaf (spine routers never originate lookups).
+    /// oracle from every leaf and every spine.
     #[test]
     fn folded_clos_table_matches_oracle(
         width in 1u8..4,
@@ -106,22 +108,10 @@ proptest! {
         npr in 1u8..3,
     ) {
         let config = noc(TopologyKind::FoldedClos { spines }, width, height, npr);
-        let leaves = config.rack_count();
-        let mut scratch: Vec<PortId> = Vec::new();
-        for algo in [RoutingAlgorithm::XY, RoutingAlgorithm::WestFirst] {
-            let table = RouteTable::build(&config, algo);
-            for here in 0..leaves {
-                let here = RouterId(here as u32);
-                for dst in 0..config.node_count() {
-                    let dst = NodeId(dst as u32);
-                    route_candidates(&config, algo, here, dst, &mut scratch);
-                    prop_assert_eq!(
-                        table.candidates(here, dst).as_slice(),
-                        scratch.as_slice()
-                    );
-                }
-            }
-        }
+        assert_table_matches_oracle(
+            &config,
+            &[RoutingAlgorithm::XY, RoutingAlgorithm::WestFirst],
+        );
     }
 }
 
@@ -256,9 +246,8 @@ fn fingerprint(outcome: ShardedOutcome) -> (Vec<u64>, String) {
     )
 }
 
-/// Runs `case` at `shards` under every route-table mode and asserts the
-/// table-backed runs (`Auto`, and an explicitly pre-built `Shared`
-/// table) replay the on-the-fly oracle (`Off`) bit for bit.
+/// Runs `case` at `shards` under both route-table modes and asserts a
+/// pre-built `Shared` table replays the `Auto` run bit for bit.
 fn assert_modes_identical(case: &Case, shards: usize) {
     let table = Arc::new(RouteTable::build(&case.config.noc, case.config.noc.routing));
     let run = |mode: RouteTableMode| {
@@ -274,22 +263,18 @@ fn assert_modes_identical(case: &Case, shards: usize) {
             mode,
         ))
     };
-    let off = run(RouteTableMode::Off);
-    assert!(off.0[2] > 0, "{}: nothing delivered", case.tag);
-    for (name, mode) in [
-        ("auto", RouteTableMode::Auto),
-        ("shared", RouteTableMode::Shared(table)),
-    ] {
-        assert_eq!(
-            run(mode),
-            off,
-            "{}: {name} vs off at {shards} shards",
-            case.tag
-        );
-    }
+    let auto = run(RouteTableMode::Auto);
+    assert!(auto.0[2] > 0, "{}: nothing delivered", case.tag);
+    assert_eq!(
+        run(RouteTableMode::Shared(table)),
+        auto,
+        "{}: shared vs auto at {shards} shards",
+        case.tag
+    );
 }
 
-/// The route table never changes results on the sequential engine.
+/// Adopting a pre-built table never changes results on the sequential
+/// engine.
 #[test]
 fn table_modes_replay_bit_identically_sequential() {
     for case in cases() {
@@ -297,8 +282,8 @@ fn table_modes_replay_bit_identically_sequential() {
     }
 }
 
-/// Same contract through the sharded conservative-parallel engine: the
-/// workers share one `Arc`'d table and still match the table-off run.
+/// Same contract through the sharded conservative-parallel engine, whose
+/// workers share one `Arc`'d table in both modes.
 #[test]
 fn table_modes_replay_bit_identically_sharded() {
     for case in cases() {
