@@ -90,7 +90,7 @@ fn main() {
         .in_group(bursty_group)
     }));
     println!("\n{} points on {} threads:", points.len(), args.jobs);
-    let results = run_points(&args.executor(), &points);
+    let results = run_points(&args, &points);
     write_trace(&args, &points, &results);
 
     let mut csv = CsvBuilder::new(vec![

@@ -71,7 +71,7 @@ fn main() {
         })
         .collect();
     println!("\n{} points on {} threads:", points.len(), args.jobs);
-    let results = run_points(&args.executor(), &points);
+    let results = run_points(&args, &points);
 
     let mut csv = CsvBuilder::new(vec![
         "workload".into(),

@@ -124,9 +124,9 @@ fn main() {
         "\n{} points on {} threads, {} shard(s) each:",
         points.len(),
         args.executor().jobs(),
-        args.shards
+        args.resolved_shards(Executor::available().jobs())
     );
-    let results = run_points(&args.executor(), &points);
+    let results = run_points(&args, &points);
     write_trace(&args, &points, &results);
 
     let mut csv = CsvBuilder::new(vec![

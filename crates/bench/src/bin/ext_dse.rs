@@ -225,7 +225,6 @@ fn main() {
         }
     };
     let host = Executor::available().jobs();
-    lumen_core::set_default_shards(args.resolved_shards(host));
 
     let scale = args.scale;
     banner(
@@ -244,6 +243,7 @@ fn main() {
         sampler_seed: dse_args.seed,
         quick_divisor: 10,
         warm_start: dse_args.warm_start,
+        shards: args.resolved_shards(host),
     };
     dse.validate();
 
@@ -260,7 +260,7 @@ fn main() {
         dse.min_delivery,
         dse_args.seed,
         executor.jobs(),
-        args.resolved_shards(host),
+        dse.shards,
     );
 
     std::fs::create_dir_all(&dse_args.out_dir).expect("create --out directory");
@@ -389,7 +389,7 @@ fn main() {
             }
         }
         eprintln!("\ntracing {} policy points:", points.len());
-        let results = lumen_bench::run_points(&executor, &points);
+        let results = lumen_bench::run_points(&args, &points);
         write_trace(&args, &points, &results);
     }
 

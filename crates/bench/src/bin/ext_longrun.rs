@@ -147,7 +147,7 @@ fn run_child(args: &BenchArgs, factor: u64) {
         // worth snapshotting, and the one CI round-trips.
         args.apply_run_control(&mut points);
     }
-    let result = run_points(&args.executor(), &points)
+    let result = run_points(&args, &points)
         .pop()
         .expect("one point per child");
     write_trace(&args, &points, std::slice::from_ref(&result));
@@ -339,7 +339,6 @@ fn main() {
             }
         }
     }
-    lumen_core::set_default_shards(args.resolved_shards(Executor::available().jobs()));
     match horizon {
         Some(factor) => run_child(&args, factor),
         None => run_parent(&args, &argv),

@@ -63,7 +63,7 @@ fn main() {
         .in_group(0)
     }));
     println!("\n{} points on {} threads:", points.len(), args.jobs);
-    let results = run_points(&args.executor(), &points);
+    let results = run_points(&args, &points);
 
     let baseline = &results[0];
     println!(

@@ -50,7 +50,7 @@ fn main() {
         }));
     }
     println!("\n{} points on {} threads:", points.len(), args.jobs);
-    let results = run_points(&args.executor(), &points);
+    let results = run_points(&args, &points);
 
     let mut csv = CsvBuilder::new(vec![
         "avg_threshold".into(),

@@ -95,7 +95,7 @@ fn main() {
         }),
     ];
     println!("\n{} panels on {} threads:", points.len(), args.jobs);
-    let results = run_points(&args.executor(), &points);
+    let results = run_points(&args, &points);
     write_trace(&args, &points, &results);
 
     println!("\nPanels (full horizon = one schedule period):");

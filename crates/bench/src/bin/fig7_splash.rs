@@ -38,7 +38,7 @@ fn main() {
         })
         .collect();
     println!("\n{} traces on {} threads:", points.len(), args.jobs);
-    let results = run_points(&args.executor(), &points);
+    let results = run_points(&args, &points);
     write_trace(&args, &points, &results);
 
     let mut csv = CsvBuilder::new(vec![

@@ -53,7 +53,7 @@ fn main() {
     ];
 
     println!("\n{} points on {} threads:", points.len(), args.jobs);
-    let results = run_points(&args.executor(), &points);
+    let results = run_points(&args, &points);
 
     println!("\nWhat the trace records (per discipline):");
     for (point, result) in points.iter().zip(&results) {

@@ -26,14 +26,6 @@ pub enum RunScale {
 }
 
 impl RunScale {
-    /// Parses process arguments (`--quick` selects [`RunScale::Quick`]).
-    ///
-    /// Unknown flags terminate the process with a usage message; this is
-    /// a shorthand for [`BenchArgs::parse`] that keeps only the scale.
-    pub fn from_args() -> RunScale {
-        BenchArgs::parse().scale
-    }
-
     /// Scales a cycle count.
     pub fn cycles(self, full: u64) -> u64 {
         match self {
@@ -83,16 +75,13 @@ pub struct BenchArgs {
 impl BenchArgs {
     /// Parses the process arguments, exiting with a usage message on any
     /// unknown or malformed flag (exit code 2) or after `--help` (0).
-    /// Also installs the parsed shard count as the process default so
-    /// every [`Experiment`] the harness builds inherits it.
+    /// Parsing has no side effects: the shard count reaches the
+    /// simulations through [`run_points`], which applies
+    /// [`BenchArgs::resolved_shards`] to every point it runs.
     pub fn parse() -> BenchArgs {
         let argv: Vec<String> = std::env::args().skip(1).collect();
         match Self::try_parse(&argv) {
-            Ok(args) => {
-                let host = Executor::available().jobs();
-                lumen_core::set_default_shards(args.resolved_shards(host));
-                args
-            }
+            Ok(args) => args,
             Err(ParseOutcome::Help) => {
                 println!("{}", Self::usage());
                 std::process::exit(0);
@@ -480,17 +469,32 @@ pub fn write_trace(args: &BenchArgs, points: &[Point], results: &[RunResult]) {
     println!("wrote telemetry trace ({traced} points) to {path}");
 }
 
-/// Runs `points` on `executor`, printing one progress line per completed
-/// point, and returns the results in submission order.
+/// Runs `points` on [`BenchArgs::executor`], each split into
+/// [`BenchArgs::resolved_shards`] shards (replacing any count set on the
+/// point's experiment), printing one progress line per completed point,
+/// and returns the results in submission order.
 ///
 /// # Panics
 ///
 /// Panics (after reporting every failure) if any point's simulation
 /// panicked.
-pub fn run_points(executor: &Executor, points: &[Point]) -> Vec<RunResult> {
+pub fn run_points(args: &BenchArgs, points: &[Point]) -> Vec<RunResult> {
+    run_points_on(args, Executor::available().jobs(), points)
+}
+
+/// [`run_points`] for an explicit host core count.
+fn run_points_on(args: &BenchArgs, host: usize, points: &[Point]) -> Vec<RunResult> {
+    let shards = args.resolved_shards(host);
+    let points: Vec<Point> = points
+        .iter()
+        .map(|p| Point {
+            experiment: p.experiment.clone().shards(shards),
+            ..p.clone()
+        })
+        .collect();
     let done = AtomicUsize::new(0);
     let total = points.len();
-    let results = executor.run_with_progress(points, |pr| {
+    let results = args.executor_for(host).run_with_progress(&points, |pr| {
         let k = done.fetch_add(1, Ordering::Relaxed) + 1;
         let status = match pr.run_result() {
             Some(r) if r.resumed => "resumed",
@@ -704,15 +708,17 @@ mod tests {
         let base = base.to_str().unwrap().to_string();
         let parse = |argv_: &[String]| BenchArgs::try_parse(argv_).unwrap();
 
-        let unbroken = run_points(&Executor::new(1), &mk_points());
+        let unbroken = run_points(&parse(&argv(&["--jobs", "1"])), &mk_points());
 
         let mut saving = mk_points();
-        parse(&argv(&[&format!("--checkpoint={base}@800")])).apply_run_control(&mut saving);
-        let saved = run_points(&Executor::new(1), &saving);
+        let save = parse(&argv(&["--jobs", "1", &format!("--checkpoint={base}@800")]));
+        save.apply_run_control(&mut saving);
+        let saved = run_points(&save, &saving);
 
         let mut resuming = mk_points();
-        parse(&argv(&[&format!("--resume={base}")])).apply_run_control(&mut resuming);
-        let resumed = run_points(&Executor::new(1), &resuming);
+        let resume = parse(&argv(&["--jobs", "1", &format!("--resume={base}")]));
+        resume.apply_run_control(&mut resuming);
+        let resumed = run_points(&resume, &resuming);
         // Two points → two per-label files.
         std::fs::remove_file(format!("{base}.load-0-1")).unwrap();
         std::fs::remove_file(format!("{base}.load-0-1--b-")).unwrap();
@@ -863,9 +869,46 @@ mod tests {
                 )
             })
             .collect();
-        let results = run_points(&Executor::new(2), &points);
+        let args = BenchArgs::try_parse(&argv(&["--jobs", "2"])).unwrap();
+        let results = run_points(&args, &points);
         assert_eq!(results.len(), 3);
         assert!(results.iter().all(|r| r.packets_delivered > 0));
+    }
+
+    #[test]
+    fn run_points_runs_every_point_on_the_resolved_shards() {
+        // The engine's event counter grows with the shard count (core
+        // ticks are replicated per shard), so it shows which engine a
+        // point ran on.
+        let mut config = SystemConfig::paper_default();
+        config.noc = lumen_noc::NocConfig::small_for_tests();
+        let exp = Experiment::new(config)
+            .warmup_cycles(200)
+            .measure_cycles(1_000)
+            .telemetry(TelemetryConfig::full());
+        let workload = Workload::Uniform {
+            rate: 0.05,
+            size: PacketSize::Fixed(4),
+        };
+        let points: Vec<Point> = (0..3)
+            .map(|i| Point::new(format!("p{i}"), exp.clone(), workload.clone()))
+            .collect();
+        let events = |r: &RunResult| r.telemetry.as_ref().expect("telemetry on").counters.events;
+        let sequential: Vec<u64> = Executor::new(1)
+            .run(&points)
+            .iter()
+            .map(|pr| events(pr.expect_ok()))
+            .collect();
+
+        let args = BenchArgs::try_parse(&argv(&["--shards", "2", "--jobs", "1"])).unwrap();
+        let ran: Vec<u64> = run_points_on(&args, 2, &points).iter().map(events).collect();
+        assert!(
+            ran.iter().zip(&sequential).all(|(r, s)| r > s),
+            "--shards 2 must reach every point: {ran:?} vs sequential {sequential:?}"
+        );
+        // A 1-core host degrades the request to the sequential engine.
+        let ran: Vec<u64> = run_points_on(&args, 1, &points).iter().map(events).collect();
+        assert_eq!(ran, sequential);
     }
 
     #[test]
@@ -885,7 +928,8 @@ mod tests {
             Point::new("alpha", exp.clone(), workload.clone()),
             Point::new("beta", exp, workload),
         ];
-        let results = run_points(&Executor::new(1), &points);
+        let serial = BenchArgs::try_parse(&argv(&["--jobs", "1"])).unwrap();
+        let results = run_points(&serial, &points);
 
         let dir = std::env::temp_dir();
         let jsonl = dir.join("lumen_bench_trace_test.jsonl");

@@ -36,7 +36,14 @@
 //! - [`runner::Experiment`] / [`results::RunResult`] — warmup + measure
 //!   orchestration and the metrics the paper reports (latency, normalized
 //!   power, power-latency product, plus time series for the over-time
-//!   figures).
+//!   figures, and the §4.1 saturation rule,
+//!   [`results::RunResult::is_saturated`]).
+//! - [`exec::Executor`] — runs a batch of independent [`exec::Point`]s on
+//!   worker threads, bit-identically at any thread count.
+//! - [`shard`] — the parallel engine behind
+//!   [`runner::Experiment::shards`]. An experiment runs on one shard
+//!   (the sequential engine) unless its builder asks for more; results
+//!   are bit-identical at every count.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -49,7 +56,6 @@ pub mod results;
 pub mod runner;
 pub mod shard;
 pub mod sim;
-pub mod sweep;
 pub mod telemetry;
 
 /// One-stop imports for typical use.
@@ -60,7 +66,6 @@ pub mod prelude {
     pub use crate::results::{ObjectiveError, Objectives, RunResult};
     pub use crate::runner::Experiment;
     pub use crate::sim::PowerAwareSim;
-    pub use crate::sweep::LoadSweep;
     pub use crate::telemetry::{TelemetryConfig, TelemetryReport};
     pub use lumen_noc::{NocConfig, RouteTableMode, TopologyKind};
     pub use lumen_opto::link::TransmitterKind;
@@ -76,11 +81,8 @@ pub use exec::{Executor, Point, PointError, PointResult, Workload};
 pub use fault::{FaultConfig, FaultKind, FaultPlan, FAULT_STREAM};
 pub use results::RunResult;
 pub use runner::Experiment;
-pub use shard::{
-    default_shards, effective_shards, run_sharded_with, set_default_shards, ShardedOutcome,
-};
+pub use shard::{effective_shards, run_sharded_with, ShardedOutcome};
 pub use sim::PowerAwareSim;
-pub use sweep::{LoadSweep, SweepPoint};
 pub use telemetry::{
     LinkWindowRow, MetricsRegistry, TelemetryConfig, TelemetryReport, TRACE_SCHEMA,
 };

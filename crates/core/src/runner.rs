@@ -56,8 +56,8 @@ pub struct Experiment {
 impl Experiment {
     /// Creates an experiment with defaults suitable for the paper's
     /// steady-state measurements (20 k warmup, 100 k measured cycles).
-    /// The shard count starts at the process default (see
-    /// [`crate::shard::set_default_shards`]); results are bit-identical
+    /// It runs on the sequential engine (1 shard) unless
+    /// [`Experiment::shards`] asks for more; results are bit-identical
     /// at every shard count.
     pub fn new(config: SystemConfig) -> Self {
         Experiment {
@@ -66,7 +66,7 @@ impl Experiment {
             measure_cycles: 100_000,
             sample_every: None,
             audit: false,
-            shards: crate::shard::default_shards(),
+            shards: 1,
             lookahead_cap: None,
             telemetry: TelemetryConfig::default(),
             save: None,

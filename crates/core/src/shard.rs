@@ -140,25 +140,6 @@ pub(crate) const KEY_SHARD_SHIFT: u64 = 20;
 /// clamp here.
 pub(crate) const MAX_SHARDS: usize = 16;
 
-// ---------------------------------------------------------------------
-// Process-wide default shard count
-// ---------------------------------------------------------------------
-
-static DEFAULT_SHARDS: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the process-wide default shard count used by
-/// [`Experiment`](crate::runner::Experiment) when none is given
-/// explicitly. The shared bench CLI calls this from `--shards N`.
-pub fn set_default_shards(n: usize) {
-    DEFAULT_SHARDS.store(n.max(1), Ordering::Relaxed);
-}
-
-/// The process-wide default shard count: the last
-/// [`set_default_shards`] value, else 1 (sequential).
-pub fn default_shards() -> usize {
-    DEFAULT_SHARDS.load(Ordering::Relaxed).max(1)
-}
-
 /// The shard count actually usable for a fabric: the topology's cut
 /// granularity (one mesh/torus row, one Clos leaf row, per shard),
 /// further clamped to the delivery-key ceiling of `MAX_SHARDS` (16).

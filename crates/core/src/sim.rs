@@ -498,32 +498,6 @@ impl PowerAwareSim {
         self.accounts.iter().map(|a| a.energy_nj_at(now)).sum()
     }
 
-    /// Average power split by link class since measurement began, in mW:
-    /// `(mesh, injection, ejection)`. The paper's observation that
-    /// injection/ejection links idle at the floor while mesh links carry
-    /// the load shows up directly here.
-    pub fn average_power_by_class(&self, now: Picos) -> (MilliWatts, MilliWatts, MilliWatts) {
-        use lumen_noc::link::LinkKind;
-        let dt = (now - self.measure_from).as_ps() as f64;
-        if dt == 0.0 {
-            return (MilliWatts::ZERO, MilliWatts::ZERO, MilliWatts::ZERO);
-        }
-        let mut sums = [0.0f64; 3];
-        for (l, acct) in self.accounts.iter().enumerate() {
-            let idx = match self.net.link(LinkId(l as u32)).kind() {
-                LinkKind::InterRouter => 0,
-                LinkKind::Injection => 1,
-                LinkKind::Ejection => 2,
-            };
-            sums[idx] += acct.energy_nj_at(now);
-        }
-        (
-            MilliWatts::from_mw(sums[0] / dt * 1e6),
-            MilliWatts::from_mw(sums[1] / dt * 1e6),
-            MilliWatts::from_mw(sums[2] / dt * 1e6),
-        )
-    }
-
     /// Average network power since measurement began.
     pub fn average_power(&self, now: Picos) -> MilliWatts {
         let dt = (now - self.measure_from).as_ps() as f64;
@@ -1674,23 +1648,6 @@ mod tests {
         assert!(pow.len() >= 7, "power series {}", pow.len());
         assert!(inj.len() >= 7);
         assert!(lat.len() >= 1);
-    }
-
-    #[test]
-    fn power_by_class_sums_to_total() {
-        let config = small_config(true);
-        let source = uniform_source(&config, 0.2);
-        let mut engine = PowerAwareSim::build_engine(config, source, None);
-        run_cycles(&mut engine, 2_000);
-        let now = engine.now();
-        engine.model_mut().begin_measurement(now);
-        let end = run_cycles(&mut engine, 6_000);
-        let sim = engine.model();
-        let (mesh, inj, ej) = sim.average_power_by_class(end);
-        let total = sim.average_power(end).as_mw();
-        let parts = mesh.as_mw() + inj.as_mw() + ej.as_mw();
-        assert!((parts - total).abs() < 1e-6, "{parts} vs {total}");
-        assert!(mesh.as_mw() > 0.0 && inj.as_mw() > 0.0 && ej.as_mw() > 0.0);
     }
 
     #[test]

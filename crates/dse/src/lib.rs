@@ -152,6 +152,9 @@ pub struct DseConfig {
     /// full run ([`DseWorkload::warm_startable`]) fall back to cold
     /// full re-runs.
     pub warm_start: bool,
+    /// Parallel shards per simulation (1 = sequential engine). A pure
+    /// performance knob: reports are byte-identical at every count.
+    pub shards: usize,
 }
 
 impl Default for DseConfig {
@@ -164,6 +167,7 @@ impl Default for DseConfig {
             sampler_seed: 7,
             quick_divisor: 10,
             warm_start: false,
+            shards: 1,
         }
     }
 }
@@ -257,7 +261,8 @@ pub fn run_scenario(
         draw.apply(&mut config);
         let experiment = Experiment::new(config)
             .warmup_cycles(warmup)
-            .measure_cycles(measure);
+            .measure_cycles(measure)
+            .shards(dse.shards);
         let noc = &scenario.config.noc;
         Point::new(label, experiment, scenario.workload.workload(noc, measure))
             .in_group(scenario.group)

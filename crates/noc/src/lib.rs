@@ -27,7 +27,8 @@
 //! [`network::Network::tick`] once per core cycle and feeds back the
 //! [`network::Effect`]s (flit deliveries, credit returns) at their due
 //! times. This keeps the network decoupled from the power-control policy
-//! that schedules around it.
+//! that schedules around it. Per-link rates, flit counts and power are
+//! reported by `lumen-core`'s telemetry, which reads them from here.
 //!
 //! ## Topologies
 //!
@@ -62,7 +63,6 @@ pub mod node;
 pub mod route_table;
 pub mod router;
 pub mod routing;
-pub mod stats;
 pub mod topology;
 
 pub use audit::{audit, audit_quiescent, AuditReport};
@@ -71,5 +71,4 @@ pub use flit::{Flit, FlitKind, Packet};
 pub use ids::{Direction, LinkId, NodeId, PacketId, PortId, RackCoord, RouterId, VcId};
 pub use network::{Effect, Network};
 pub use route_table::{RouteSet, RouteTable, RouteTableMode};
-pub use stats::{LinkClassStats, NetworkSnapshot};
 pub use topology::{BuiltinTopology, Channel, Topology, TopologyKind};

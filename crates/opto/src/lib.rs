@@ -32,11 +32,17 @@
 //!
 //! 1. **First-principles models** (Eqs. 1–9 of the paper) in each component
 //!    module — useful for link-level design-space exploration
-//!    (`examples/link_designer.rs`).
+//!    (`examples/link_designer.rs` prints them).
 //! 2. **Calibrated network models** ([`link`]): each component carries its
 //!    measured power at the 10 Gb/s / 1.8 V operating point (paper Table 2)
 //!    plus a [`scaling::ScalingTrend`]; this is what the network simulator
 //!    integrates. [`presets`] provides the paper's 0.18 µm numbers.
+//!
+//! The receiver [`sensitivity`] model gives the bit-error rate at a
+//! received power and bit rate; during a laser dropout, `lumen-core`'s
+//! fault model derives each flit's corruption probability from it. The
+//! crate holds only what the simulator, the harnesses and the examples
+//! read.
 //!
 //! ## Example
 //!
@@ -55,19 +61,15 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod budget;
 pub mod cdr;
 pub mod constants;
-pub mod eye;
 pub mod link;
 pub mod modulator;
 pub mod optics;
 pub mod photodetector;
-pub mod pll;
 pub mod presets;
 pub mod scaling;
 pub mod sensitivity;
-pub mod thermal;
 pub mod tia;
 pub mod units;
 pub mod vcsel;

@@ -20,11 +20,14 @@
 //!   ([`TimeSeries::with_retention`](timeseries::TimeSeries::with_retention))
 //!   for long-horizon runs.
 //! - [`csv`] — tiny CSV emission for the benchmark harnesses.
+//!
+//! The paper's saturation rule (latency above twice the zero-load
+//! latency, §4.1) is applied per point by `lumen-core`'s
+//! `RunResult::is_saturated`.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod confidence;
 pub mod csv;
 pub mod energy;
 pub mod histogram;
@@ -32,7 +35,6 @@ pub mod sliding;
 pub mod summary;
 pub mod timeseries;
 
-pub use confidence::{BatchMeans, ConfidenceInterval};
 pub use energy::EnergyAccount;
 pub use histogram::Histogram;
 pub use sliding::SlidingWindow;

@@ -34,15 +34,18 @@ fn dse() -> DseConfig {
     }
 }
 
-/// Same seed, different thread counts: the `lumen-dse/1` JSON must come
-/// out byte-identical — the contract the CI smoke job re-checks on every
-/// push.
+/// Same seed, different thread or shard counts: the `lumen-dse/1` JSON
+/// must come out byte-identical — the contract the CI smoke job re-checks
+/// on every push.
 #[test]
 fn report_json_is_byte_identical_across_reruns_and_thread_counts() {
     let a = run_scenario(&scenario(11), &dse(), &Executor::new(1), |_| {});
     let b = run_scenario(&scenario(11), &dse(), &Executor::new(3), |_| {});
     assert_eq!(a.schema, DSE_SCHEMA);
     assert_eq!(a.to_json(), b.to_json());
+    let sharded = DseConfig { shards: 2, ..dse() };
+    let s = run_scenario(&scenario(11), &sharded, &Executor::new(1), |_| {});
+    assert_eq!(a.to_json(), s.to_json(), "shard count must not matter");
 
     let c = run_scenario(&scenario(12), &dse(), &Executor::new(1), |_| {});
     assert_ne!(a.to_json(), c.to_json(), "seed must matter");
