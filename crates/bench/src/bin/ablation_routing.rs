@@ -21,7 +21,10 @@ use lumen_stats::csv::CsvBuilder;
 fn main() {
     let args = BenchArgs::parse();
     let scale = args.scale;
-    banner("Ablation", "XY deterministic vs west-first adaptive routing");
+    banner(
+        "Ablation",
+        "XY deterministic vs west-first adaptive routing",
+    );
     let size = PacketSize::Fixed(defaults::SYNTHETIC_PACKET_FLITS);
     let measure = scale.cycles(60_000);
 

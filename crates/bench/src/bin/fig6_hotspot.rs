@@ -120,8 +120,7 @@ fn main() {
         .iter()
         .find(|p| p.name == "PA Tv=Tbr=0")
         .expect("panel exists");
-    let delay_cost =
-        full.result.avg_latency_cycles / no_delays.result.avg_latency_cycles.max(1e-9);
+    let delay_cost = full.result.avg_latency_cycles / no_delays.result.avg_latency_cycles.max(1e-9);
     println!("\nFig 6(b): latency with full delays / with zeroed delays = {delay_cost:.3}");
     println!("(paper: voltage transitions negligible, Tbr=20 small at Tw=1000)");
 
@@ -152,7 +151,12 @@ fn main() {
         "value".into(),
     ]);
     for p in &panels {
-        emit_series(&mut csv, p.name, "injection_rate", &p.result.injection_series);
+        emit_series(
+            &mut csv,
+            p.name,
+            "injection_rate",
+            &p.result.injection_series,
+        );
         emit_series(&mut csv, p.name, "latency_cycles", &p.result.latency_series);
         emit_series(&mut csv, p.name, "normalized_power", &p.result.power_series);
     }

@@ -47,8 +47,12 @@ fn main() {
         c
     };
     let points = vec![
-        Point::new("bursty DVS", experiment(SystemConfig::paper_default()), workload.clone())
-            .in_group(0),
+        Point::new(
+            "bursty DVS",
+            experiment(SystemConfig::paper_default()),
+            workload.clone(),
+        )
+        .in_group(0),
         Point::new("bursty on/off", experiment(onoff), workload).in_group(0),
     ];
 

@@ -109,9 +109,7 @@ impl BenchArgs {
     /// layer its own strict parser on top of the shared one. Malformed
     /// *known* flags still error here; the caller must reject any
     /// leftover it does not understand itself, or typo-safety is lost.
-    pub fn try_parse_partial(
-        argv: &[String],
-    ) -> Result<(BenchArgs, Vec<String>), ParseOutcome> {
+    pub fn try_parse_partial(argv: &[String]) -> Result<(BenchArgs, Vec<String>), ParseOutcome> {
         let mut scale = RunScale::Full;
         let mut jobs = Executor::available().jobs();
         let mut shards = 1usize;
@@ -401,7 +399,13 @@ fn point_ckpt(base: &str, label: &str, solo: bool) -> std::path::PathBuf {
     }
     let slug: String = label
         .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c.to_ascii_lowercase() } else { '-' })
+        .map(|c| {
+            if c.is_ascii_alphanumeric() {
+                c.to_ascii_lowercase()
+            } else {
+                '-'
+            }
+        })
         .collect();
     format!("{base}.{slug}").into()
 }
@@ -659,12 +663,19 @@ mod tests {
             argv(&["--checkpoint=state.ckpt@50000"]),
         ] {
             let a = BenchArgs::try_parse(&form).unwrap();
-            assert_eq!(a.checkpoint, Some(("state.ckpt".into(), 50_000)), "{form:?}");
+            assert_eq!(
+                a.checkpoint,
+                Some(("state.ckpt".into(), 50_000)),
+                "{form:?}"
+            );
         }
         // `@` in the directory part: split at the last `@`.
         let a = BenchArgs::try_parse(&argv(&["--checkpoint", "runs@v2/s.ckpt@9"])).unwrap();
         assert_eq!(a.checkpoint, Some(("runs@v2/s.ckpt".into(), 9)));
-        for form in [argv(&["--resume", "state.ckpt"]), argv(&["--resume=state.ckpt"])] {
+        for form in [
+            argv(&["--resume", "state.ckpt"]),
+            argv(&["--resume=state.ckpt"]),
+        ] {
             let a = BenchArgs::try_parse(&form).unwrap();
             assert_eq!(a.resume.as_deref(), Some("state.ckpt"), "{form:?}");
         }
@@ -728,7 +739,10 @@ mod tests {
             assert_eq!(u.packets_delivered, s.packets_delivered);
             assert_eq!(u.packets_delivered, r.packets_delivered);
             assert_eq!(u.avg_power_mw.to_bits(), r.avg_power_mw.to_bits());
-            assert_eq!(u.avg_latency_cycles.to_bits(), r.avg_latency_cycles.to_bits());
+            assert_eq!(
+                u.avg_latency_cycles.to_bits(),
+                r.avg_latency_cycles.to_bits()
+            );
         }
     }
 
@@ -901,13 +915,19 @@ mod tests {
             .collect();
 
         let args = BenchArgs::try_parse(&argv(&["--shards", "2", "--jobs", "1"])).unwrap();
-        let ran: Vec<u64> = run_points_on(&args, 2, &points).iter().map(events).collect();
+        let ran: Vec<u64> = run_points_on(&args, 2, &points)
+            .iter()
+            .map(events)
+            .collect();
         assert!(
             ran.iter().zip(&sequential).all(|(r, s)| r > s),
             "--shards 2 must reach every point: {ran:?} vs sequential {sequential:?}"
         );
         // A 1-core host degrades the request to the sequential engine.
-        let ran: Vec<u64> = run_points_on(&args, 1, &points).iter().map(events).collect();
+        let ran: Vec<u64> = run_points_on(&args, 1, &points)
+            .iter()
+            .map(events)
+            .collect();
         assert_eq!(ran, sequential);
     }
 
@@ -944,8 +964,12 @@ mod tests {
         };
         write_trace(&args, &points, &results);
         let text = std::fs::read_to_string(&jsonl).unwrap();
-        let alpha = text.find("{\"kind\":\"point\",\"label\":\"alpha\"}").unwrap();
-        let beta = text.find("{\"kind\":\"point\",\"label\":\"beta\"}").unwrap();
+        let alpha = text
+            .find("{\"kind\":\"point\",\"label\":\"alpha\"}")
+            .unwrap();
+        let beta = text
+            .find("{\"kind\":\"point\",\"label\":\"beta\"}")
+            .unwrap();
         assert!(alpha < beta, "points in submission order");
         assert_eq!(text.matches("\"kind\":\"header\"").count(), 2);
         std::fs::remove_file(&jsonl).ok();

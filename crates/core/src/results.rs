@@ -151,7 +151,10 @@ impl RunResult {
             ("delivery_ratio", obj.delivery_ratio),
         ] {
             if !value.is_finite() {
-                return Err(ObjectiveError::NonFinite { metric: name, value });
+                return Err(ObjectiveError::NonFinite {
+                    metric: name,
+                    value,
+                });
             }
         }
         Ok(obj)
@@ -321,7 +324,10 @@ mod tests {
         r.packets_delivered = 0;
         r.packets_dropped = 500;
         let err = r.objectives().unwrap_err();
-        assert!(matches!(err, ObjectiveError::NoPacketsDelivered { dropped: 500, .. }));
+        assert!(matches!(
+            err,
+            ObjectiveError::NoPacketsDelivered { dropped: 500, .. }
+        ));
         assert!(err.to_string().contains("no packets"));
     }
 
@@ -333,8 +339,14 @@ mod tests {
                     as &dyn Fn(&mut RunResult),
                 "p99_latency_cycles",
             ),
-            (&|r: &mut RunResult| r.avg_latency_cycles = f64::NAN, "avg_latency_cycles"),
-            (&|r: &mut RunResult| r.normalized_power = f64::NAN, "normalized_power"),
+            (
+                &|r: &mut RunResult| r.avg_latency_cycles = f64::NAN,
+                "avg_latency_cycles",
+            ),
+            (
+                &|r: &mut RunResult| r.normalized_power = f64::NAN,
+                "normalized_power",
+            ),
         ] {
             let mut r = result(20.0, 0.25);
             patch(&mut r);

@@ -59,7 +59,8 @@ impl Rng {
     /// Deriving the same `stream_id` from generators in identical states
     /// yields identical children; the parent state is not advanced.
     pub fn derive(&self, stream_id: u64) -> Rng {
-        let mut sm = self.s[0] ^ self.s[1].rotate_left(17) ^ stream_id.wrapping_mul(0xA076_1D64_78BD_642F);
+        let mut sm =
+            self.s[0] ^ self.s[1].rotate_left(17) ^ stream_id.wrapping_mul(0xA076_1D64_78BD_642F);
         let mut s = [0u64; 4];
         for slot in &mut s {
             *slot = splitmix64(&mut sm);
@@ -72,10 +73,7 @@ impl Rng {
 
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        let result = self.s[1]
-            .wrapping_mul(5)
-            .rotate_left(7)
-            .wrapping_mul(9);
+        let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
         self.s[3] ^= self.s[1];

@@ -69,7 +69,10 @@ impl Picos {
             "seconds must be finite and non-negative, got {secs}"
         );
         let ps = secs * 1e12;
-        assert!(ps <= u64::MAX as f64, "duration overflows picoseconds: {secs}s");
+        assert!(
+            ps <= u64::MAX as f64,
+            "duration overflows picoseconds: {secs}s"
+        );
         Picos(ps.round() as u64)
     }
 
@@ -399,8 +402,14 @@ mod tests {
     #[test]
     fn next_edge() {
         let clk = ClockDomain::with_period(Picos::from_ps(100));
-        assert_eq!(clk.next_edge_at_or_after(Picos::from_ps(300)), Picos::from_ps(300));
-        assert_eq!(clk.next_edge_at_or_after(Picos::from_ps(301)), Picos::from_ps(400));
+        assert_eq!(
+            clk.next_edge_at_or_after(Picos::from_ps(300)),
+            Picos::from_ps(300)
+        );
+        assert_eq!(
+            clk.next_edge_at_or_after(Picos::from_ps(301)),
+            Picos::from_ps(400)
+        );
         assert_eq!(clk.next_edge_at_or_after(Picos::ZERO), Picos::ZERO);
     }
 

@@ -138,10 +138,22 @@ mod tests {
             base_seed: 7,
             group: 0,
             min_delivery: 0.99,
-            quick: Fidelity { warmup_cycles: 1000, measure_cycles: 10_000 },
-            full: Fidelity { warmup_cycles: 10_000, measure_cycles: 100_000 },
-            table1: ReferenceRow { quick: objectives(0.5), full: objectives(0.5) },
-            baseline_non_pa: ReferenceRow { quick: objectives(1.0), full: objectives(1.0) },
+            quick: Fidelity {
+                warmup_cycles: 1000,
+                measure_cycles: 10_000,
+            },
+            full: Fidelity {
+                warmup_cycles: 10_000,
+                measure_cycles: 100_000,
+            },
+            table1: ReferenceRow {
+                quick: objectives(0.5),
+                full: objectives(0.5),
+            },
+            baseline_non_pa: ReferenceRow {
+                quick: objectives(1.0),
+                full: objectives(1.0),
+            },
             points: vec![ReportPoint {
                 id: 0,
                 fidelity: "full".into(),
@@ -169,11 +181,17 @@ mod tests {
     #[test]
     fn dominance_check_against_table1() {
         let mut r = report();
-        assert!(r.any_policy_dominates_table1(), "0.45 < 0.5 at equal delivery");
+        assert!(
+            r.any_policy_dominates_table1(),
+            "0.45 < 0.5 at equal delivery"
+        );
         r.points[0].objectives.normalized_power = 0.6;
         assert!(!r.any_policy_dominates_table1());
         r.points[0].objectives.normalized_power = 0.45;
         r.points[0].feasible = false;
-        assert!(!r.any_policy_dominates_table1(), "infeasible points don't count");
+        assert!(
+            !r.any_policy_dominates_table1(),
+            "infeasible points don't count"
+        );
     }
 }

@@ -161,7 +161,9 @@ mod tests {
         let mut b = RoundRobinArbiter::new(n);
         let mut lcg: u64 = 0x2545F4914F6CDD1D;
         for _ in 0..1000 {
-            lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            lcg = lcg
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let mask = (lcg >> 33) & ((1 << n) - 1);
             let ga = a.grant(|i| mask >> i & 1 == 1);
             let gb = b.grant_masked(mask);

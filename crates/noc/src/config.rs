@@ -80,7 +80,9 @@ impl Deserialize for NocConfig {
                 Some((_, v)) => Deserialize::deserialize_value(v)?,
                 None => TopologyKind::default(),
             },
-            allow_torus_mesh_routing: match map.iter().find(|(k, _)| k == "allow_torus_mesh_routing")
+            allow_torus_mesh_routing: match map
+                .iter()
+                .find(|(k, _)| k == "allow_torus_mesh_routing")
             {
                 Some((_, v)) => Deserialize::deserialize_value(v)?,
                 None => false,
@@ -138,9 +140,18 @@ impl NocConfig {
     ///
     /// Panics with a description of the first violated constraint.
     pub fn validate(&self) {
-        assert!(self.width >= 1 && self.height >= 1, "mesh must be non-empty");
-        assert!(self.nodes_per_rack >= 1, "each rack needs at least one node");
-        assert!(self.buffer_depth >= 1, "buffers must hold at least one flit");
+        assert!(
+            self.width >= 1 && self.height >= 1,
+            "mesh must be non-empty"
+        );
+        assert!(
+            self.nodes_per_rack >= 1,
+            "each rack needs at least one node"
+        );
+        assert!(
+            self.buffer_depth >= 1,
+            "buffers must hold at least one flit"
+        );
         assert!(self.vcs >= 1, "need at least one virtual channel");
         assert!(
             self.buffer_depth as usize >= self.vcs as usize,
@@ -211,10 +222,7 @@ impl NocConfig {
     /// for routers below [`NocConfig::rack_count`] (Clos spines have no
     /// coordinate).
     pub fn coord_of(&self, r: RouterId) -> RackCoord {
-        debug_assert!(
-            r.index() < self.rack_count(),
-            "{r} is not a rack router"
-        );
+        debug_assert!(r.index() < self.rack_count(), "{r} is not a rack router");
         RackCoord::new(
             (r.0 % self.width as u32) as u8,
             (r.0 / self.width as u32) as u8,
@@ -356,8 +364,7 @@ mod tests {
     fn legacy_configs_deserialize_as_mesh() {
         // A config serialized before the `topology` field existed must
         // still deserialize (defaulting to the mesh).
-        let serde::Value::Map(mut fields) =
-            Serialize::serialize_value(&NocConfig::paper_default())
+        let serde::Value::Map(mut fields) = Serialize::serialize_value(&NocConfig::paper_default())
         else {
             panic!("NocConfig must serialize as a map");
         };

@@ -4,9 +4,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A processing node (there are `racks × nodes_per_rack` of them).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -24,9 +22,7 @@ impl fmt::Display for NodeId {
 }
 
 /// A rack's communication router.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct RouterId(pub u32);
 
 impl RouterId {
@@ -44,9 +40,7 @@ impl fmt::Display for RouterId {
 }
 
 /// A unidirectional link.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct LinkId(pub u32);
 
 impl LinkId {
@@ -66,9 +60,7 @@ impl fmt::Display for LinkId {
 /// A router port index. Ports `0..nodes_per_rack` are the local
 /// injection/ejection ports; the following four are North, South, East,
 /// West (paper Fig. 4(b): ports 0–7 local, 8–11 inter-router).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct PortId(pub u8);
 
 impl fmt::Display for PortId {
@@ -78,9 +70,7 @@ impl fmt::Display for PortId {
 }
 
 /// A virtual-channel index within a port.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct VcId(pub u8);
 
 impl fmt::Display for VcId {
@@ -90,9 +80,7 @@ impl fmt::Display for VcId {
 }
 
 /// A packet's unique identity.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct PacketId(pub u64);
 
 impl fmt::Display for PacketId {
@@ -102,9 +90,7 @@ impl fmt::Display for PacketId {
 }
 
 /// A mesh direction.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Direction {
     /// Towards smaller `y`.
     North,
@@ -159,9 +145,7 @@ impl fmt::Display for Direction {
 }
 
 /// A rack's (x, y) position in the 2-D mesh.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct RackCoord {
     /// Column, `0..width`.
     pub x: u8,
@@ -180,9 +164,7 @@ impl RackCoord {
     pub fn neighbor(self, dir: Direction, width: u8, height: u8) -> Option<RackCoord> {
         match dir {
             Direction::North => (self.y > 0).then(|| RackCoord::new(self.x, self.y - 1)),
-            Direction::South => {
-                (self.y + 1 < height).then(|| RackCoord::new(self.x, self.y + 1))
-            }
+            Direction::South => (self.y + 1 < height).then(|| RackCoord::new(self.x, self.y + 1)),
             Direction::East => (self.x + 1 < width).then(|| RackCoord::new(self.x + 1, self.y)),
             Direction::West => (self.x > 0).then(|| RackCoord::new(self.x - 1, self.y)),
         }
@@ -225,8 +207,14 @@ mod tests {
         let c = RackCoord::new(0, 0);
         assert_eq!(c.neighbor(Direction::North, 8, 8), None);
         assert_eq!(c.neighbor(Direction::West, 8, 8), None);
-        assert_eq!(c.neighbor(Direction::South, 8, 8), Some(RackCoord::new(0, 1)));
-        assert_eq!(c.neighbor(Direction::East, 8, 8), Some(RackCoord::new(1, 0)));
+        assert_eq!(
+            c.neighbor(Direction::South, 8, 8),
+            Some(RackCoord::new(0, 1))
+        );
+        assert_eq!(
+            c.neighbor(Direction::East, 8, 8),
+            Some(RackCoord::new(1, 0))
+        );
         let corner = RackCoord::new(7, 7);
         assert_eq!(corner.neighbor(Direction::South, 8, 8), None);
         assert_eq!(corner.neighbor(Direction::East, 8, 8), None);

@@ -244,7 +244,14 @@ impl RouteTable {
                         (c.x, c.y)
                     })
                     .collect();
-                (Layout::Delta { width: w, height: h }, entries, coords)
+                (
+                    Layout::Delta {
+                        width: w,
+                        height: h,
+                    },
+                    entries,
+                    coords,
+                )
             }
             TopologyKind::FoldedClos { .. } => {
                 let mut entries = vec![RouteSet::EMPTY; routers * racks];
@@ -407,9 +414,7 @@ mod tests {
                 RoutingAlgorithm::YX,
                 RoutingAlgorithm::WestFirst,
             ] {
-                if algo == RoutingAlgorithm::WestFirst
-                    && config.topology == TopologyKind::Torus
-                {
+                if algo == RoutingAlgorithm::WestFirst && config.topology == TopologyKind::Torus {
                     continue; // rejected by validate() without opt-in
                 }
                 let table = RouteTable::build(&config, algo);

@@ -271,7 +271,11 @@ impl Router {
         if self.sa_ready == 0 {
             // No Active VC holds a flit: nothing to allocate, but the
             // rotating priority still advances exactly as it always did.
-            self.sa_rotate = if self.sa_rotate + 1 == ports { 0 } else { self.sa_rotate + 1 };
+            self.sa_rotate = if self.sa_rotate + 1 == ports {
+                0
+            } else {
+                self.sa_rotate + 1
+            };
             return;
         }
         let st_time = now + config.cycle();
@@ -383,7 +387,11 @@ impl Router {
             }
             input_used |= 1u64 << ip;
         }
-        self.sa_rotate = if self.sa_rotate + 1 == ports { 0 } else { self.sa_rotate + 1 };
+        self.sa_rotate = if self.sa_rotate + 1 == ports {
+            0
+        } else {
+            self.sa_rotate + 1
+        };
     }
 
     /// VA: hand free output VCs to packets whose route is computed.
@@ -529,7 +537,10 @@ impl Router {
 
     /// The flit kind at the front of an input VC (testing aid).
     pub fn front_kind(&self, port: PortId, vc: VcId) -> Option<FlitKind> {
-        self.inputs[port.0 as usize].buffer.front(vc).map(|f| f.kind)
+        self.inputs[port.0 as usize]
+            .buffer
+            .front(vc)
+            .map(|f| f.kind)
     }
 }
 
@@ -806,10 +817,15 @@ mod tests {
         assert!(h.effects.is_empty());
         assert_eq!(
             h.router.vc_state(PortId(1), VcId(0)),
-            VcState::VcAlloc { out_port: PortId(0) }
+            VcState::VcAlloc {
+                out_port: PortId(0)
+            }
         );
         h.tick();
-        assert!(matches!(h.router.vc_state(PortId(1), VcId(0)), VcState::Active { .. }));
+        assert!(matches!(
+            h.router.vc_state(PortId(1), VcId(0)),
+            VcState::Active { .. }
+        ));
         h.tick();
         // SA granted during the 3rd tick; flit departure scheduled.
         let flit_events: Vec<&Effect> = h
@@ -883,7 +899,8 @@ mod tests {
         // Only `depth` flits may leave before credits run out.
         assert_eq!(sent, depth as usize);
         // Returning one credit lets exactly one more through.
-        h.router.return_credit(PortId(0), VcId(0), h.config.depth_per_vc() as u16);
+        h.router
+            .return_credit(PortId(0), VcId(0), h.config.depth_per_vc() as u16);
         h.effects.clear();
         h.tick();
         h.tick();

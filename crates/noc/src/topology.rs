@@ -238,7 +238,13 @@ impl Mesh {
 
     /// Mesh-style minimal candidates: the shared implementation for
     /// [`Mesh`] and for [`Torus`]'s `WestFirst` fallback.
-    fn mesh_route(&self, algo: RoutingAlgorithm, here: RouterId, dst: RouterId, out: &mut Vec<PortId>) {
+    fn mesh_route(
+        &self,
+        algo: RoutingAlgorithm,
+        here: RouterId,
+        dst: RouterId,
+        out: &mut Vec<PortId>,
+    ) {
         let npr = self.nodes_per_rack;
         let here_c = self.coord(here);
         let dst_c = self.coord(dst);
@@ -477,17 +483,45 @@ impl Topology for Torus {
         match algo {
             RoutingAlgorithm::XY => {
                 let dir = if dst_c.x != here_c.x {
-                    wrap_step(here_c.x, dst_c.x, self.width, Direction::East, Direction::West).0
+                    wrap_step(
+                        here_c.x,
+                        dst_c.x,
+                        self.width,
+                        Direction::East,
+                        Direction::West,
+                    )
+                    .0
                 } else {
-                    wrap_step(here_c.y, dst_c.y, self.height, Direction::South, Direction::North).0
+                    wrap_step(
+                        here_c.y,
+                        dst_c.y,
+                        self.height,
+                        Direction::South,
+                        Direction::North,
+                    )
+                    .0
                 };
                 out.push(dir_port(npr, dir));
             }
             RoutingAlgorithm::YX => {
                 let dir = if dst_c.y != here_c.y {
-                    wrap_step(here_c.y, dst_c.y, self.height, Direction::South, Direction::North).0
+                    wrap_step(
+                        here_c.y,
+                        dst_c.y,
+                        self.height,
+                        Direction::South,
+                        Direction::North,
+                    )
+                    .0
                 } else {
-                    wrap_step(here_c.x, dst_c.x, self.width, Direction::East, Direction::West).0
+                    wrap_step(
+                        here_c.x,
+                        dst_c.x,
+                        self.width,
+                        Direction::East,
+                        Direction::West,
+                    )
+                    .0
                 };
                 out.push(dir_port(npr, dir));
             }
@@ -855,7 +889,11 @@ mod tests {
             nodes_per_rack: 2,
         };
         let (mut to, mut mo) = (Vec::new(), Vec::new());
-        for algo in [RoutingAlgorithm::XY, RoutingAlgorithm::YX, RoutingAlgorithm::WestFirst] {
+        for algo in [
+            RoutingAlgorithm::XY,
+            RoutingAlgorithm::YX,
+            RoutingAlgorithm::WestFirst,
+        ] {
             for a in 0..4u32 {
                 for b in 0..4u32 {
                     if a == b {

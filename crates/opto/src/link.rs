@@ -202,7 +202,10 @@ impl LinkPowerModel {
         calibration: OperatingPoint,
         components: Vec<CalibratedComponent>,
     ) -> Self {
-        assert!(!components.is_empty(), "a link needs at least one component");
+        assert!(
+            !components.is_empty(),
+            "a link needs at least one component"
+        );
         LinkPowerModel {
             transmitter,
             calibration,
@@ -237,10 +240,7 @@ impl LinkPowerModel {
     /// Total link power at an operating point.
     pub fn power(&self, op: OperatingPoint) -> MilliWatts {
         let (v, b) = self.ratios(op);
-        self.components
-            .iter()
-            .map(|c| c.power_at_ratio(v, b))
-            .sum()
+        self.components.iter().map(|c| c.power_at_ratio(v, b)).sum()
     }
 
     /// Power at the calibration (maximum) point — the non-power-aware
@@ -344,7 +344,9 @@ mod tests {
         let op = OperatingPoint::paper_max();
         let cdr = link.component_power(ComponentId::Cdr, op).unwrap();
         assert!((cdr.as_mw() - 150.0).abs() < 1e-9);
-        assert!(link.component_power(ComponentId::ModulatorDriver, op).is_none());
+        assert!(link
+            .component_power(ComponentId::ModulatorDriver, op)
+            .is_none());
     }
 
     #[test]

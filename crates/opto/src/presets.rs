@@ -14,7 +14,9 @@
 //! Both transmitter stacks total 290 mW per unidirectional link at full
 //! rate (Tx ≈ 40 mW, Rx = 250 mW).
 
-use crate::link::{CalibratedComponent, ComponentId, LinkPowerModel, OperatingPoint, TransmitterKind};
+use crate::link::{
+    CalibratedComponent, ComponentId, LinkPowerModel, OperatingPoint, TransmitterKind,
+};
 use crate::scaling::ScalingTrend;
 use crate::units::MilliWatts;
 

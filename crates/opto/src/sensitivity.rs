@@ -23,7 +23,8 @@ pub fn erfc(x: f64) -> f64 {
     let t = 1.0 / (1.0 + 0.327_591_1 * x);
     let poly = t
         * (0.254_829_592
-            + t * (-0.284_496_736 + t * (1.421_413_741 + t * (-1.453_152_027 + t * 1.061_405_429))));
+            + t * (-0.284_496_736
+                + t * (1.421_413_741 + t * (-1.453_152_027 + t * 1.061_405_429))));
     poly * (-x * x).exp()
 }
 
@@ -107,12 +108,7 @@ impl SensitivityModel {
     /// don't vanish in floating-point cancellation. This is the corruption
     /// probability fault injection applies to flits launched while a laser
     /// is delivering degraded light.
-    pub fn flit_corruption_probability(
-        &self,
-        received: MicroWatts,
-        br: Gbps,
-        bits: u32,
-    ) -> f64 {
+    pub fn flit_corruption_probability(&self, received: MicroWatts, br: Gbps, bits: u32) -> f64 {
         let ber = self.ber(received, br).clamp(0.0, 1.0);
         if ber >= 1.0 {
             return 1.0;
@@ -182,30 +178,18 @@ mod tests {
     fn flit_corruption_probability_behaves() {
         let s = SensitivityModel::paper_default();
         // Full margin: essentially zero corruption.
-        let clean = s.flit_corruption_probability(
-            MicroWatts::from_uw(80.0),
-            Gbps::from_gbps(10.0),
-            16,
-        );
+        let clean =
+            s.flit_corruption_probability(MicroWatts::from_uw(80.0), Gbps::from_gbps(10.0), 16);
         assert!(clean < 1e-12, "clean {clean}");
         // Starved light: high corruption, bounded by 1.
-        let starved = s.flit_corruption_probability(
-            MicroWatts::from_uw(2.0),
-            Gbps::from_gbps(10.0),
-            16,
-        );
+        let starved =
+            s.flit_corruption_probability(MicroWatts::from_uw(2.0), Gbps::from_gbps(10.0), 16);
         assert!(starved > 0.5 && starved <= 1.0, "starved {starved}");
         // Slowing the link at the same light level reduces corruption.
-        let slowed = s.flit_corruption_probability(
-            MicroWatts::from_uw(8.0),
-            Gbps::from_gbps(5.0),
-            16,
-        );
-        let fast = s.flit_corruption_probability(
-            MicroWatts::from_uw(8.0),
-            Gbps::from_gbps(10.0),
-            16,
-        );
+        let slowed =
+            s.flit_corruption_probability(MicroWatts::from_uw(8.0), Gbps::from_gbps(5.0), 16);
+        let fast =
+            s.flit_corruption_probability(MicroWatts::from_uw(8.0), Gbps::from_gbps(10.0), 16);
         assert!(slowed < fast, "slowed {slowed} vs fast {fast}");
         // Small-BER regime agrees with bits · BER to first order.
         let ber = s.ber(MicroWatts::from_uw(8.0), Gbps::from_gbps(5.0));

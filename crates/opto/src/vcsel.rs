@@ -54,7 +54,10 @@ impl Vcsel {
             bias >= threshold,
             "bias {bias} must be at or above threshold {threshold}"
         );
-        assert!(slope_efficiency_w_per_a > 0.0, "slope efficiency must be positive");
+        assert!(
+            slope_efficiency_w_per_a > 0.0,
+            "slope efficiency must be positive"
+        );
         assert!(bias_voltage.as_v() > 0.0, "bias voltage must be positive");
         assert!(
             nominal_modulation.as_ma() > 0.0,

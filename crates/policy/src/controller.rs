@@ -365,7 +365,9 @@ mod tests {
     #[test]
     fn low_utilization_steps_down() {
         let mut c = controller_n1(5);
-        let t = c.on_window(Picos::ZERO, 0.1, 0.0).expect("should step down");
+        let t = c
+            .on_window(Picos::ZERO, 0.1, 0.0)
+            .expect("should step down");
         assert_eq!(t.to_level, 4);
         assert_eq!(c.level(), 4);
         assert_eq!(c.downs, 1);
@@ -414,7 +416,9 @@ mod tests {
         assert!(c.in_transition());
         assert!(c.on_window(t.complete_at, 0.0, 0.0).is_none());
         c.transition_complete();
-        assert!(c.on_window(t.complete_at + Picos::from_us(2), 0.0, 0.0).is_some());
+        assert!(c
+            .on_window(t.complete_at + Picos::from_us(2), 0.0, 0.0)
+            .is_some());
         assert_eq!(c.downs, 2);
     }
 
@@ -450,7 +454,7 @@ mod tests {
         config.predictor = Predictor::Ewma(0.8);
         let mut ewma = LinkPolicyController::new(&config, cycle, 0);
         let mut mean = controller(0); // N = 4 sliding mean
-        // Three idle windows, then a sudden surge: EWMA crosses TH first.
+                                      // Three idle windows, then a sudden surge: EWMA crosses TH first.
         for c in [&mut ewma, &mut mean] {
             for _ in 0..3 {
                 assert!(c.on_window(Picos::ZERO, 0.0, 0.0).is_none());

@@ -206,7 +206,7 @@ mod tests {
         let mut c = three_level();
         c.note_rate(Gbps::from_gbps(5.0));
         assert!(c.on_decision_period(Picos::from_us(200)).is_some()); // Mid at 300µs
-        // The next boundary lands mid-transition if < 300 µs: skipped.
+                                                                      // The next boundary lands mid-transition if < 300 µs: skipped.
         c.note_rate(Gbps::from_gbps(3.0));
         assert_eq!(c.on_decision_period(Picos::from_us(250)), None);
         // A boundary after the move completes may decrement again.

@@ -42,6 +42,6 @@ pub mod thresholds;
 pub use config::{OpticalMode, PolicyConfig, PolicyMode, Predictor, TimingConfig};
 pub use controller::{LinkPolicyController, RateDecision, Transition};
 pub use ladder::BitRateLadder;
-pub use onoff::{GateAction, GateState, OnOffConfig, OnOffController};
 pub use laser::{LaserSourceController, LaserUpdate, OpticalGate};
+pub use onoff::{GateAction, GateState, OnOffConfig, OnOffController};
 pub use thresholds::ThresholdTable;

@@ -184,8 +184,7 @@ fn exponential(rng: &mut Rng, mean: f64) -> f64 {
 }
 
 /// A client's flow gate: ON/OFF state and when the current sojourn ends.
-#[derive(Debug, Clone, Copy)]
-#[derive(Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 struct Gate {
     on: bool,
     until: u64,

@@ -38,8 +38,8 @@ pub mod trace;
 
 pub use datacenter::{DatacenterConfig, DatacenterSource};
 pub use pattern::Pattern;
-pub use selfsimilar::{SelfSimilarConfig, SelfSimilarSource};
 pub use profile::RateProfile;
+pub use selfsimilar::{SelfSimilarConfig, SelfSimilarSource};
 pub use source::{PacketSize, SyntheticSource, TraceSource, TrafficSource};
 pub use splash::SplashApp;
 pub use trace::{Trace, TraceRecord};

@@ -77,11 +77,7 @@ impl RateProfile {
                 if total == 0 {
                     return 0.0;
                 }
-                phases
-                    .iter()
-                    .map(|&(d, r)| d as f64 * r)
-                    .sum::<f64>()
-                    / total as f64
+                phases.iter().map(|&(d, r)| d as f64 * r).sum::<f64>() / total as f64
             }
             RateProfile::Splash(app) => app.mean_rate(),
         }

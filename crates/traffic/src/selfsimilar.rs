@@ -292,8 +292,7 @@ mod tests {
             counts[(c / window) as usize] += out.len() as f64;
         }
         let mean = counts.iter().sum::<f64>() / counts.len() as f64;
-        let var = counts.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>()
-            / counts.len() as f64;
+        let var = counts.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / counts.len() as f64;
         let idi = var / mean;
         assert!(idi > 3.0, "index of dispersion {idi} too Poisson-like");
     }

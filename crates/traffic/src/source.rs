@@ -140,7 +140,10 @@ impl TrafficSource for SyntheticSource {
             if !self.rng.chance(p) {
                 continue;
             }
-            let Some(dst) = self.pattern.pick(&self.config, NodeId(src as u32), &mut self.rng) else {
+            let Some(dst) = self
+                .pattern
+                .pick(&self.config, NodeId(src as u32), &mut self.rng)
+            else {
                 continue;
             };
             let size = self.size.draw(&mut self.rng);

@@ -67,7 +67,10 @@ impl Trace {
     /// Panics if the record is earlier than the current last record.
     pub fn push(&mut self, record: TraceRecord) {
         if let Some(last) = self.records.last() {
-            assert!(record.at_ps >= last.at_ps, "records must be appended in time order");
+            assert!(
+                record.at_ps >= last.at_ps,
+                "records must be appended in time order"
+            );
         }
         self.records.push(record);
     }
@@ -115,7 +118,11 @@ impl std::fmt::Display for TraceReadError {
         match self {
             TraceReadError::Parse(e) => write!(f, "malformed trace: {e}"),
             TraceReadError::UnsupportedVersion(v) => {
-                write!(f, "unsupported trace version {v} (expected {})", Trace::VERSION)
+                write!(
+                    f,
+                    "unsupported trace version {v} (expected {})",
+                    Trace::VERSION
+                )
             }
         }
     }

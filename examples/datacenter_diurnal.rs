@@ -40,7 +40,10 @@ fn main() {
     let pa = run(SystemConfig::paper_default());
     let base = run(SystemConfig::paper_default().non_power_aware());
 
-    println!("over one day (mean load {:.2} pkt/cycle):", profile.mean_rate());
+    println!(
+        "over one day (mean load {:.2} pkt/cycle):",
+        profile.mean_rate()
+    );
     println!("  baseline    : {base}");
     println!("  power-aware : {pa}");
     println!(
@@ -52,11 +55,7 @@ fn main() {
 
     println!("\nhour-by-hour (power-aware), half-hour samples:");
     println!("  {:>8} {:>12} {:>12}", "time", "load pkt/cy", "norm power");
-    for ((t, load), (_, power)) in pa
-        .injection_series
-        .iter()
-        .zip(pa.power_series.iter())
-    {
+    for ((t, load), (_, power)) in pa.injection_series.iter().zip(pa.power_series.iter()) {
         let hours = t.as_us_f64() / 64.0; // 40k cycles = 64 µs = 1 "hour"
         println!("  {hours:>7.1}h {load:>12.2} {power:>12.3}");
     }

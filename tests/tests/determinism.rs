@@ -151,7 +151,9 @@ fn grouped_pairs_share_traffic_at_any_thread_count() {
         // Comparison groups (common random numbers for paired points) must
         // both share the traffic stream within a group and stay bit-identical
         // across thread counts.
-        let pa = Experiment::new(config(kind, 11)).warmup_cycles(500).measure_cycles(4_000);
+        let pa = Experiment::new(config(kind, 11))
+            .warmup_cycles(500)
+            .measure_cycles(4_000);
         let base = Experiment::new(config(kind, 11).non_power_aware())
             .warmup_cycles(500)
             .measure_cycles(4_000);
@@ -173,8 +175,14 @@ fn grouped_pairs_share_traffic_at_any_thread_count() {
         let serial = Executor::new(1).run(&points);
         let parallel = Executor::new(4).run(&points);
         for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.expect_ok().packets_injected, p.expect_ok().packets_injected);
-            assert_eq!(s.expect_ok().avg_latency_cycles, p.expect_ok().avg_latency_cycles);
+            assert_eq!(
+                s.expect_ok().packets_injected,
+                p.expect_ok().packets_injected
+            );
+            assert_eq!(
+                s.expect_ok().avg_latency_cycles,
+                p.expect_ok().avg_latency_cycles
+            );
         }
         // Within each group the pair sees identical offered traffic...
         assert_eq!(

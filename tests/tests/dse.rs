@@ -4,8 +4,7 @@
 
 use lumen_core::prelude::*;
 use lumen_dse::{
-    run_scenario, DseConfig, DseWorkload, Goal, PolicyDraw, Scenario, SearchSpace,
-    DSE_SCHEMA,
+    run_scenario, DseConfig, DseWorkload, Goal, PolicyDraw, Scenario, SearchSpace, DSE_SCHEMA,
 };
 // `proptest` here is the vendored stand-in (vendor/proptest, v0.0.0-lumen):
 // 64 fixed deterministic cases, no shrinking, no PROPTEST_* reproduction.
@@ -87,11 +86,12 @@ fn reported_full_points_replay_bit_identically() {
 fn reference_rows_are_sane() {
     let report = run_scenario(&scenario(31), &dse(), &Executor::new(2), |_| {});
     assert!(report.baseline_non_pa.full.normalized_power > 0.9);
-    assert!(
-        report.table1.full.normalized_power < report.baseline_non_pa.full.normalized_power
-    );
+    assert!(report.table1.full.normalized_power < report.baseline_non_pa.full.normalized_power);
     assert_eq!(report.table1.full.delivery_ratio, 1.0);
-    assert!(report.points.iter().all(|p| p.objectives.delivery_ratio > 0.0));
+    assert!(report
+        .points
+        .iter()
+        .all(|p| p.objectives.delivery_ratio > 0.0));
 }
 
 proptest! {

@@ -166,10 +166,7 @@ fn engine_seam_zero_delay_and_overflow_ordering() {
         assert_eq!(eng.run_to_completion(), RunOutcome::QueueDrained);
         assert_eq!(
             eng.model().log[3..],
-            [
-                (t + cycle, 20),
-                (t + cycle * (WHEEL_SLOTS as u64 * 3), 30)
-            ],
+            [(t + cycle, 20), (t + cycle * (WHEEL_SLOTS as u64 * 3), 30)],
             "reference={reference}"
         );
     }
