@@ -6,7 +6,7 @@
 //! in-flight rate changes), every policy controller and laser governor,
 //! the per-link RNG fault streams, the traffic source's RNG and cursors,
 //! energy accounts, measurement statistics, telemetry retention state,
-//! and the calendar's pending events. Resuming from a checkpoint is
+//! and the pending events and in-flight flits and credits. Resuming from a checkpoint is
 //! **bit-identical** to never having stopped: replay counters match,
 //! every `f64` matches by `.to_bits()`, and exported traces match
 //! byte-for-byte. `CHECKPOINTS.md` specifies the format field by field
@@ -122,11 +122,13 @@ pub struct Checkpoint {
     pub sample_every: Option<u64>,
     /// Core cycle the snapshot was taken at.
     pub cycle: u64,
-    /// Events processed by the engine up to the snapshot. The resumed
+    /// Calendar events processed by the engine up to the snapshot. The resumed
     /// run's final event count is this plus its own processed events.
     pub events: u64,
-    /// The calendar: every event still pending at the snapshot, in the
-    /// engine's deterministic `(time, insertion-sequence)` drain order.
+    /// Everything still pending at the snapshot, in the engine's
+    /// deterministic `(time, sequence)` order: the calendar's events
+    /// merged with the flits and credits on the network's wires (stored
+    /// as `FlitArrive` / `CreditArrive`).
     pub pending: Vec<(Picos, SimEvent)>,
     /// The sim's mutable state ([`crate::PowerAwareSim`] internals), as
     /// a schema tree.

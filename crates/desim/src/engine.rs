@@ -2,38 +2,6 @@
 
 use crate::queue::EventQueue;
 use crate::time::Picos;
-use std::cmp::Ordering as CmpOrdering;
-use std::collections::BinaryHeap;
-
-/// An externally-injected event held in the engine's inbox (see
-/// [`Engine::push_external`]): ordered by `(time, push sequence)` with the
-/// comparison reversed so the [`BinaryHeap`] pops the earliest first.
-struct InboxEntry<E> {
-    at: Picos,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for InboxEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for InboxEntry<E> {}
-
-impl<E> PartialOrd for InboxEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for InboxEntry<E> {
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        // Reversed: the heap is a max-heap, we want the earliest entry.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
 
 /// A simulation model driven by the [`Engine`].
 ///
@@ -67,11 +35,6 @@ pub enum RunOutcome {
 pub struct Engine<M: SimModel> {
     model: M,
     queue: EventQueue<M::Event>,
-    /// Events injected from outside the model (e.g. by a parallel-shard
-    /// coordinator at a barrier). Ordered by `(time, push sequence)` and
-    /// drained ahead of same-time calendar events.
-    inbox: BinaryHeap<InboxEntry<M::Event>>,
-    inbox_seq: u64,
     now: Picos,
     processed: u64,
     event_budget: Option<u64>,
@@ -85,7 +48,7 @@ impl<M: SimModel> Engine<M> {
 
     /// Creates an engine whose calendar pre-allocates room for `capacity`
     /// pending events. Simulations that schedule tens of millions of
-    /// events (two per flit hop) should size this from their fan-out —
+    /// events should size this from their fan-out —
     /// e.g. links × events-per-link-per-cycle × in-flight cycles — to
     /// avoid reallocation churn in the hot path.
     pub fn with_capacity(model: M, capacity: usize) -> Self {
@@ -98,48 +61,10 @@ impl<M: SimModel> Engine<M> {
         Engine {
             model,
             queue,
-            inbox: BinaryHeap::new(),
-            inbox_seq: 0,
             now: Picos::ZERO,
             processed: 0,
             event_budget: None,
         }
-    }
-
-    /// Injects an event from outside the model, e.g. a cross-shard flit
-    /// arrival delivered at a barrier by a parallel-shard coordinator.
-    ///
-    /// Inbox events are delivered in `(time, push order)` order and take
-    /// priority over calendar events carrying the same timestamp. This is
-    /// safe for the shard protocol because every same-time pair of
-    /// externally-deliverable events commutes (they touch disjoint buffer/
-    /// credit state), so any fixed deterministic order reproduces the
-    /// sequential merge — see `lumen-core`'s shard module for the argument.
-    pub fn push_external(&mut self, at: Picos, event: M::Event) {
-        debug_assert!(at >= self.now, "external event scheduled in the past");
-        let seq = self.inbox_seq;
-        self.inbox_seq += 1;
-        self.inbox.push(InboxEntry { at, seq, event });
-    }
-
-    /// Number of externally-injected events still awaiting delivery.
-    pub fn inbox_len(&self) -> usize {
-        self.inbox.len()
-    }
-
-    /// Pops the inbox head if it is due at or before `horizon` *and* not
-    /// later than the calendar's next event (inbox wins ties).
-    fn pop_inbox_if_due(&mut self, horizon: Picos) -> Option<(Picos, M::Event)> {
-        let head = self.inbox.peek()?;
-        if head.at > horizon {
-            return None;
-        }
-        if let Some(queued) = self.queue.peek_time() {
-            if queued < head.at {
-                return None;
-            }
-        }
-        self.inbox.pop().map(|entry| (entry.at, entry.event))
     }
 
     /// Current simulation time (the timestamp of the last handled event).
@@ -183,25 +108,12 @@ impl<M: SimModel> Engine<M> {
         self.model
     }
 
-    /// Removes every pending event — calendar and external inbox alike —
-    /// and returns them in the order this engine would have delivered
-    /// them: nondecreasing time, inbox entries winning timestamp ties
-    /// against calendar entries (the [`Engine::push_external`] contract),
-    /// FIFO within each. The checkpoint machinery uses this to capture a
-    /// mid-run engine; both stores are empty afterwards, while `now` and
-    /// `processed` are untouched.
+    /// Removes every pending event and returns them in the order this
+    /// engine would have delivered them: nondecreasing time, FIFO among
+    /// same-time events ([`EventQueue::drain_pending`]). The calendar is
+    /// empty afterwards, while `now` and `processed` are untouched.
     pub fn drain_pending(&mut self) -> Vec<(Picos, M::Event)> {
-        let mut out = Vec::with_capacity(self.queue.len() + self.inbox.len());
-        // Two sorted runs: the inbox by (time, push seq), then the
-        // calendar by (time, seq). A stable sort by time alone merges
-        // them while keeping inbox entries ahead at equal timestamps
-        // and preserving FIFO order inside each run.
-        while let Some(entry) = self.inbox.pop() {
-            out.push((entry.at, entry.event));
-        }
-        out.extend(self.queue.drain_pending());
-        out.sort_by_key(|&(at, _)| at);
-        out
+        self.queue.drain_pending()
     }
 
     /// Caps the total number of events this engine will ever process; a
@@ -218,18 +130,6 @@ impl<M: SimModel> Engine<M> {
             if self.budget_spent() {
                 return RunOutcome::BudgetExhausted;
             }
-            // The sequential hot path pays exactly one `is_empty` branch
-            // for the inbox; shard runs additionally peek both heads so
-            // the earlier (inbox at ties) is delivered first.
-            if !self.inbox.is_empty() {
-                if let Some((time, event)) = self.pop_inbox_if_due(horizon) {
-                    debug_assert!(time >= self.now, "inbox went backwards");
-                    self.now = time;
-                    self.processed += 1;
-                    self.model.handle(time, event, &mut self.queue);
-                    continue;
-                }
-            }
             // One call decides "in range?" and pops — no separate peek
             // pass over the calendar on the per-event hot path.
             match self.queue.pop_if_at_or_before(horizon) {
@@ -240,7 +140,7 @@ impl<M: SimModel> Engine<M> {
                     self.model.handle(time, event, &mut self.queue);
                 }
                 None => {
-                    return if self.queue.is_empty() && self.inbox.is_empty() {
+                    return if self.queue.is_empty() {
                         RunOutcome::QueueDrained
                     } else {
                         RunOutcome::HorizonReached
@@ -265,12 +165,7 @@ impl<M: SimModel> Engine<M> {
         if self.budget_spent() {
             return None;
         }
-        let (time, event) = if !self.inbox.is_empty() {
-            self.pop_inbox_if_due(Picos::MAX)
-                .or_else(|| self.queue.pop())?
-        } else {
-            self.queue.pop()?
-        };
+        let (time, event) = self.queue.pop()?;
         debug_assert!(time >= self.now);
         self.now = time;
         self.processed += 1;
@@ -430,75 +325,6 @@ mod tests {
             1 << 12,
         ));
         assert_eq!(plain, sized);
-    }
-
-    #[test]
-    fn inbox_wins_ties_against_calendar_events() {
-        let mut eng = Engine::new(Echo {
-            seen: vec![],
-            respawn: false,
-        });
-        let t = Picos::from_ns(2);
-        eng.queue_mut().schedule(t, 1);
-        eng.push_external(t, 100);
-        eng.push_external(t, 101); // same time: FIFO by push order
-        eng.queue_mut().schedule(Picos::from_ns(1), 0);
-        assert_eq!(eng.run_until(t), RunOutcome::QueueDrained);
-        assert_eq!(
-            eng.model().seen,
-            vec![
-                (Picos::from_ns(1), 0),
-                (t, 100),
-                (t, 101),
-                (t, 1), // calendar event loses the tie
-            ]
-        );
-        assert_eq!(eng.processed(), 4);
-    }
-
-    #[test]
-    fn inbox_events_persist_across_windows() {
-        // An inbox event due past the current horizon must stay pending
-        // (the sharded runtime pushes arrivals several windows ahead).
-        let mut eng = Engine::new(Echo {
-            seen: vec![],
-            respawn: false,
-        });
-        eng.push_external(Picos::from_ns(5), 50);
-        assert_eq!(eng.run_until(Picos::from_ns(3)), RunOutcome::HorizonReached);
-        assert!(eng.model().seen.is_empty());
-        assert_eq!(eng.inbox_len(), 1);
-        assert_eq!(eng.run_until(Picos::from_ns(5)), RunOutcome::QueueDrained);
-        assert_eq!(eng.model().seen, vec![(Picos::from_ns(5), 50)]);
-    }
-
-    #[test]
-    fn inbox_respects_event_budget_and_step() {
-        let mut eng = Engine::new(Echo {
-            seen: vec![],
-            respawn: false,
-        });
-        eng.set_event_budget(1);
-        eng.push_external(Picos::from_ns(1), 1);
-        eng.push_external(Picos::from_ns(2), 2);
-        assert_eq!(eng.run_to_completion(), RunOutcome::BudgetExhausted);
-        assert_eq!(eng.processed(), 1);
-        assert_eq!(eng.step(), None, "budget spent");
-        assert_eq!(eng.inbox_len(), 1);
-    }
-
-    #[test]
-    fn step_prefers_due_inbox_event() {
-        let mut eng = Engine::new(Echo {
-            seen: vec![],
-            respawn: false,
-        });
-        eng.queue_mut().schedule(Picos::from_ns(2), 1);
-        eng.push_external(Picos::from_ns(2), 100);
-        assert_eq!(eng.step(), Some(Picos::from_ns(2)));
-        assert_eq!(eng.model().seen, vec![(Picos::from_ns(2), 100)]);
-        assert_eq!(eng.step(), Some(Picos::from_ns(2)));
-        assert_eq!(eng.model().seen.len(), 2);
     }
 
     /// A model that, on its first event at time t, schedules another event

@@ -3,11 +3,18 @@
 //! [`Network`] owns the routers, nodes and links of the paper's system
 //! (Fig. 3(a) / Fig. 4) — or of whichever fabric the configuration's
 //! [`Topology`] describes — and exposes a *passive* stepping interface: the
-//! caller owns the event loop, invokes [`Network::tick`] once per router
-//! cycle, and feeds the returned [`Effect`]s (flit deliveries and credit
-//! returns) back at their due times via [`Network::flit_arrived`] /
-//! [`Network::credit_arrived`]. The power-aware layer manipulates link
-//! rates between ticks through [`Network::link_mut`].
+//! caller owns the event loop and invokes [`Network::tick`] once per router
+//! cycle. The tick returns [`Effect`]s; the caller puts each flit and
+//! credit on its link's wire ([`Network::send_flit`] /
+//! [`Network::send_credit`]), and the network delivers them from there
+//! around the next ticks ([`Network::deliver_before`] /
+//! [`Network::deliver_held`]). Links are FIFO wires, so each link's
+//! in-flight traffic is a time-ordered queue and needs no event calendar.
+//! Flits on ejection links are the exception: the caller delivers them
+//! itself through [`Network::flit_arrived`], because the order in which
+//! packets complete at different sinks is observable. The power-aware
+//! layer manipulates link rates between ticks through
+//! [`Network::link_mut`].
 
 use crate::config::NocConfig;
 use crate::flit::{Flit, Packet};
@@ -20,13 +27,15 @@ use crate::routing::RoutingAlgorithm;
 use crate::topology::Topology;
 use lumen_desim::Picos;
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// An externally-visible consequence of stepping the network; the driver
-/// schedules each at its `at` time.
+/// hands each back for delivery at its `at` time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Effect {
-    /// A flit finishes traversing `link` (deliver via
+    /// A flit finishes traversing `link` (put it on the wire with
+    /// [`Network::send_flit`], or on an ejection link deliver it via
     /// [`Network::flit_arrived`]).
     Flit {
         /// The traversed link.
@@ -38,8 +47,8 @@ pub enum Effect {
         /// Arrival time at the downstream endpoint.
         at: Picos,
     },
-    /// A credit travels back to the upstream side of `link` (deliver via
-    /// [`Network::credit_arrived`]).
+    /// A credit travels back to the upstream side of `link` (put it on
+    /// the wire with [`Network::send_credit`]).
     Credit {
         /// The link whose upstream endpoint regains a buffer slot.
         link: LinkId,
@@ -65,6 +74,90 @@ pub enum Effect {
     },
 }
 
+/// A flit or credit still on a link's wire (see [`Network::take_in_flight`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct InFlight {
+    /// When it reaches the far end of the link.
+    pub at: Picos,
+    /// Its place among same-time events (see [`Network::send_flit`]).
+    pub seq: u64,
+    /// The link it travels on.
+    pub link: LinkId,
+    /// The VC it belongs to.
+    pub vc: VcId,
+    /// The flit travelling downstream, or `None` for a credit travelling
+    /// back upstream.
+    pub flit: Option<Flit>,
+}
+
+/// A flit on a link's wire.
+#[derive(Debug, Clone, Copy)]
+struct WireFlit {
+    at: Picos,
+    seq: u64,
+    vc: VcId,
+    flit: Flit,
+}
+
+/// A credit on a link's return path.
+#[derive(Debug, Clone, Copy)]
+struct WireCredit {
+    at: Picos,
+    seq: u64,
+    vc: VcId,
+}
+
+/// Arrivals on links that another shard replica sends on (see
+/// [`Network::set_foreign_links`]).
+#[derive(Debug, Clone)]
+struct ForeignLinks {
+    links: ActiveSet,
+    arrivals: Vec<u64>,
+}
+
+/// Everything in flight: per link, a FIFO of the flits travelling down
+/// it and one of the credits travelling back, each in `(at, seq)` order
+/// because a link delivers in send order. Queues start unallocated and
+/// grow to the link's in-flight peak (a few entries), so idle links cost
+/// nothing.
+#[derive(Debug, Clone)]
+struct Wires {
+    flits: Vec<VecDeque<WireFlit>>,
+    credits: Vec<VecDeque<WireCredit>>,
+    // Links whose queue is non-empty.
+    flit_links: ActiveSet,
+    credit_links: ActiveSet,
+    // Links whose queue head is due at the latest sweep's time but after
+    // its tick (see `Network::deliver_held`).
+    held_flits: Vec<u32>,
+    held_credits: Vec<u32>,
+    // Time of the latest `deliver_before` sweep.
+    swept: Option<Picos>,
+    foreign: Option<Box<ForeignLinks>>,
+}
+
+impl Wires {
+    fn new(links: usize) -> Self {
+        Wires {
+            flits: (0..links).map(|_| VecDeque::new()).collect(),
+            credits: (0..links).map(|_| VecDeque::new()).collect(),
+            flit_links: ActiveSet::from_fn(links, |_| false),
+            credit_links: ActiveSet::from_fn(links, |_| false),
+            held_flits: Vec::new(),
+            held_credits: Vec::new(),
+            swept: None,
+            foreign: None,
+        }
+    }
+
+    /// Re-marks the non-empty queues (after queues are replaced).
+    fn rebuild_sets(&mut self) {
+        let (flits, credits) = (&self.flits, &self.credits);
+        self.flit_links = ActiveSet::from_fn(flits.len(), |l| !flits[l].is_empty());
+        self.credit_links = ActiveSet::from_fn(credits.len(), |l| !credits[l].is_empty());
+    }
+}
+
 /// The whole simulated network system.
 #[derive(Debug, Clone)]
 pub struct Network {
@@ -79,7 +172,7 @@ pub struct Network {
     route_table: Arc<RouteTable>,
     // Dense copies of each link's endpoints (fixed at construction).
     // `Link` is a large struct (rate ladder state, window statistics), so
-    // the per-event delivery paths — ~2 lookups per flit hop, tens of
+    // the delivery paths — ~2 lookups per flit hop, tens of
     // millions per run — read these 8-byte entries instead of pulling a
     // whole `Link` through the cache for the destination alone.
     to_ep: Vec<Endpoint>,
@@ -90,6 +183,7 @@ pub struct Network {
     // queued flits. See `ActiveSet`.
     active_routers: ActiveSet,
     active_sources: ActiveSet,
+    wires: Wires,
 }
 
 /// A bitset over component indices (routers or sources) that marks the
@@ -99,7 +193,7 @@ pub struct Network {
 /// source is handed a packet) and cleared when a tick leaves the component
 /// with none. Idle components' ticks change no state, so visiting only set
 /// bits, in ascending index order, is the full in-order scan minus no-ops.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct ActiveSet {
     words: Vec<u64>,
 }
@@ -117,6 +211,11 @@ impl ActiveSet {
     #[inline]
     fn insert(&mut self, i: usize) {
         self.words[i >> 6] |= 1 << (i & 63);
+    }
+
+    #[inline]
+    fn remove(&mut self, i: usize) {
+        self.words[i >> 6] &= !(1 << (i & 63));
     }
 
     fn contains(&self, i: usize) -> bool {
@@ -270,6 +369,7 @@ impl Network {
         let from_ep = links.iter().map(Link::from).collect();
         let active_routers = ActiveSet::from_fn(routers.len(), |_| false);
         let active_sources = ActiveSet::from_fn(sources.len(), |_| false);
+        let wires = Wires::new(links.len());
         Network {
             config: config.clone(),
             routers,
@@ -283,6 +383,7 @@ impl Network {
             ticks: 0,
             active_routers,
             active_sources,
+            wires,
         }
     }
 
@@ -453,8 +554,22 @@ impl Network {
         );
     }
 
-    /// Delivers a flit that finished traversing `link` (an
-    /// [`Effect::Flit`] whose time has come).
+    /// Whether `link` is an ejection link (router to sink). Its flits are
+    /// not wired: the caller delivers them with [`Network::flit_arrived`].
+    #[inline]
+    pub fn is_ejection(&self, link: LinkId) -> bool {
+        matches!(self.to_ep[link.index()], Endpoint::Node(_))
+    }
+
+    /// Delivers a flit that finished traversing ejection link `link` to
+    /// its sink (an [`Effect::Flit`] whose time has come). The sink's
+    /// credit return and, for a tail flit, the packet's
+    /// [`Effect::Ejected`] are appended to `effects`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `link` is not an ejection link: every other flit arrives
+    /// from its wire ([`Network::send_flit`]).
     pub fn flit_arrived(
         &mut self,
         now: Picos,
@@ -463,55 +578,163 @@ impl Network {
         flit: Flit,
         effects: &mut Vec<Effect>,
     ) {
+        let Endpoint::Node(n) = self.to_ep[link.index()] else {
+            panic!("{link} is wired: its flits arrive through send_flit");
+        };
         self.links[link.index()].note_arrival();
-        match self.to_ep[link.index()] {
-            Endpoint::RouterPort { router, port } => {
-                self.routers[router.index()].accept_flit(port, vc, flit);
-                self.active_routers.insert(router.index());
+        self.sinks[n.index()].receive(now, vc, flit, self.config.credit_delay, effects);
+    }
+
+    /// Puts a flit on `link`'s wire, due at the downstream router at `at`.
+    ///
+    /// `seq` places the arrival among events of the caller's calendar
+    /// that share its timestamp: [`Network::deliver_before`] hands it over
+    /// ahead of a calendar event with a higher number. A driver reserves
+    /// it from its calendar's counter
+    /// ([`lumen_desim::EventQueue::reserve_seq`]) at the moment the
+    /// calendar version would have scheduled the arrival, which keeps
+    /// every same-time order of a calendar-driven run.
+    ///
+    /// Sends on one link must come in `(at, seq)` order — a FIFO wire
+    /// delivers in send order. Ejection links are not wired.
+    pub fn send_flit(&mut self, link: LinkId, at: Picos, seq: u64, vc: VcId, flit: Flit) {
+        debug_assert!(
+            !self.is_ejection(link),
+            "{link}: ejection flits are not wired"
+        );
+        let queue = &mut self.wires.flits[link.index()];
+        debug_assert!(
+            queue.back().is_none_or(|b| (b.at, b.seq) < (at, seq)),
+            "{link}: flit sent out of arrival order"
+        );
+        queue.push_back(WireFlit { at, seq, vc, flit });
+        self.wires.flit_links.insert(link.index());
+    }
+
+    /// Puts a credit on `link`'s return path, due at the upstream end at
+    /// `at`; `seq` as for [`Network::send_flit`].
+    ///
+    /// A credit due at or before the latest [`Network::deliver_before`]
+    /// time (zero credit delay, or a late credit from another shard) is
+    /// returned at once: a calendar would hand it over before the next
+    /// tick, and nothing else reads credit counters.
+    pub fn send_credit(&mut self, link: LinkId, at: Picos, seq: u64, vc: VcId) {
+        if self.wires.swept.is_some_and(|swept| at <= swept) {
+            self.land_credit(link.index(), vc);
+            return;
+        }
+        let queue = &mut self.wires.credits[link.index()];
+        debug_assert!(
+            queue.back().is_none_or(|b| (b.at, b.seq) < (at, seq)),
+            "{link}: credit sent out of arrival order"
+        );
+        queue.push_back(WireCredit { at, seq, vc });
+        self.wires.credit_links.insert(link.index());
+    }
+
+    /// Delivers everything on the wires that a calendar would have handled
+    /// before its event `(now, seq)` — the caller's core tick: arrivals
+    /// due before `now`, and arrivals due at `now` whose `seq` is lower.
+    /// Arrivals due at `now` with a higher `seq` are held for
+    /// [`Network::deliver_held`].
+    ///
+    /// Arrivals on different links touch disjoint buffers and counters, so
+    /// visiting links in index order reproduces the calendar's state.
+    pub fn deliver_before(&mut self, now: Picos, seq: u64) {
+        self.wires.swept = Some(now);
+        let n = self.links.len();
+        let mut queues = std::mem::take(&mut self.wires.flits);
+        let mut marked = std::mem::take(&mut self.wires.flit_links);
+        marked.sweep(0..n, |l| {
+            let queue = &mut queues[l];
+            while let Some(&e) = queue.front() {
+                if e.at > now || (e.at == now && e.seq > seq) {
+                    if e.at == now {
+                        self.wires.held_flits.push(l as u32);
+                    }
+                    break;
+                }
+                queue.pop_front();
+                self.land_flit(l, e.vc, e.flit);
             }
-            Endpoint::Node(n) => {
-                self.sinks[n.index()].receive(now, vc, flit, self.config.credit_delay, effects);
+            !queue.is_empty()
+        });
+        self.wires.flits = queues;
+        self.wires.flit_links = marked;
+
+        let mut queues = std::mem::take(&mut self.wires.credits);
+        let mut marked = std::mem::take(&mut self.wires.credit_links);
+        marked.sweep(0..n, |l| {
+            let queue = &mut queues[l];
+            while let Some(&e) = queue.front() {
+                if e.at > now || (e.at == now && e.seq > seq) {
+                    if e.at == now {
+                        self.wires.held_credits.push(l as u32);
+                    }
+                    break;
+                }
+                queue.pop_front();
+                self.land_credit(l, e.vc);
+            }
+            !queue.is_empty()
+        });
+        self.wires.credits = queues;
+        self.wires.credit_links = marked;
+    }
+
+    /// Delivers the arrivals [`Network::deliver_before`] held back: due at
+    /// `now`, but ordered after the caller's tick. Call it once the tick
+    /// is done.
+    pub fn deliver_held(&mut self, now: Picos) {
+        for i in 0..self.wires.held_flits.len() {
+            let l = self.wires.held_flits[i] as usize;
+            while let Some(&e) = self.wires.flits[l].front() {
+                if e.at > now {
+                    break;
+                }
+                self.wires.flits[l].pop_front();
+                self.land_flit(l, e.vc, e.flit);
+            }
+            if self.wires.flits[l].is_empty() {
+                self.wires.flit_links.remove(l);
             }
         }
-    }
-
-    /// Delivers a flit whose link is *owned by another shard*: identical to
-    /// [`Network::flit_arrived`] except the link's own arrival counter is
-    /// not touched (the owning shard's replica holds the authoritative
-    /// `flits_sent`; counting an arrival here would trip the
-    /// `arrived <= sent` invariant on this replica's zero-send copy).
-    /// Callers must count these externally and reconcile via
-    /// [`Network::absorb_link_arrivals`] at merge time.
-    pub fn flit_arrived_unowned(
-        &mut self,
-        now: Picos,
-        link: LinkId,
-        vc: VcId,
-        flit: Flit,
-        effects: &mut Vec<Effect>,
-    ) {
-        match self.to_ep[link.index()] {
-            Endpoint::RouterPort { router, port } => {
-                self.routers[router.index()].accept_flit(port, vc, flit);
-                self.active_routers.insert(router.index());
+        self.wires.held_flits.clear();
+        for i in 0..self.wires.held_credits.len() {
+            let l = self.wires.held_credits[i] as usize;
+            while let Some(&e) = self.wires.credits[l].front() {
+                if e.at > now {
+                    break;
+                }
+                self.wires.credits[l].pop_front();
+                self.land_credit(l, e.vc);
             }
-            Endpoint::Node(n) => {
-                self.sinks[n.index()].receive(now, vc, flit, self.config.credit_delay, effects);
+            if self.wires.credits[l].is_empty() {
+                self.wires.credit_links.remove(l);
             }
         }
+        self.wires.held_credits.clear();
     }
 
-    /// Folds `n` externally-counted arrivals into `link`'s counter (shard
-    /// merge reconciliation; see [`Network::flit_arrived_unowned`]).
-    pub fn absorb_link_arrivals(&mut self, link: LinkId, n: u64) {
-        self.links[link.index()].absorb_arrivals(n);
+    /// A wired flit reaches the downstream router.
+    #[inline]
+    fn land_flit(&mut self, l: usize, vc: VcId, flit: Flit) {
+        match self.wires.foreign.as_deref_mut() {
+            Some(f) if f.links.contains(l) => f.arrivals[l] += 1,
+            _ => self.links[l].note_arrival(),
+        }
+        let Endpoint::RouterPort { router, port } = self.to_ep[l] else {
+            unreachable!("ejection flits are not wired");
+        };
+        self.routers[router.index()].accept_flit(port, vc, flit);
+        self.active_routers.insert(router.index());
     }
 
-    /// Delivers a credit back to the upstream side of `link` (an
-    /// [`Effect::Credit`] whose time has come).
-    pub fn credit_arrived(&mut self, link: LinkId, vc: VcId) {
+    /// A credit reaches the upstream router port or source.
+    #[inline]
+    fn land_credit(&mut self, l: usize, vc: VcId) {
         let depth = self.config.depth_per_vc();
-        match self.from_ep[link.index()] {
+        match self.from_ep[l] {
             Endpoint::RouterPort { router, port } => {
                 self.routers[router.index()].return_credit(port, vc, depth);
             }
@@ -519,6 +742,89 @@ impl Network {
                 self.sources[n.index()].return_credit(vc, depth);
             }
         }
+    }
+
+    /// The VCs of the flits on `link`'s wire, earliest first.
+    pub(crate) fn wired_flits(&self, link: LinkId) -> impl Iterator<Item = VcId> + '_ {
+        // The marks are a few cache lines; the queue headers are not.
+        static NONE: VecDeque<WireFlit> = VecDeque::new();
+        let l = link.index();
+        let queue = if self.wires.flit_links.contains(l) {
+            &self.wires.flits[l]
+        } else {
+            &NONE
+        };
+        queue.iter().map(|e| e.vc)
+    }
+
+    /// The VCs of the credits on `link`'s return path, earliest first.
+    pub(crate) fn wired_credits(&self, link: LinkId) -> impl Iterator<Item = VcId> + '_ {
+        static NONE: VecDeque<WireCredit> = VecDeque::new();
+        let l = link.index();
+        let queue = if self.wires.credit_links.contains(l) {
+            &self.wires.credits[l]
+        } else {
+            &NONE
+        };
+        queue.iter().map(|e| e.vc)
+    }
+
+    /// Removes everything on the wires and returns it in `(at, seq)`
+    /// order: the order a calendar would have handled it in. Checkpoints
+    /// merge this with the calendar's own pending events and send it all
+    /// back in that order.
+    pub fn take_in_flight(&mut self) -> Vec<InFlight> {
+        let mut out = Vec::new();
+        for (l, queue) in self.wires.flits.iter_mut().enumerate() {
+            out.extend(queue.drain(..).map(|e| InFlight {
+                at: e.at,
+                seq: e.seq,
+                link: LinkId(l as u32),
+                vc: e.vc,
+                flit: Some(e.flit),
+            }));
+        }
+        for (l, queue) in self.wires.credits.iter_mut().enumerate() {
+            out.extend(queue.drain(..).map(|e| InFlight {
+                at: e.at,
+                seq: e.seq,
+                link: LinkId(l as u32),
+                vc: e.vc,
+                flit: None,
+            }));
+        }
+        self.wires.rebuild_sets();
+        out.sort_by_key(|e| (e.at, e.seq));
+        out
+    }
+
+    /// Marks `links` as sent on by another shard replica: this replica
+    /// receives their flits but holds no `flits_sent` for them, so their
+    /// arrivals are tallied in [`Network::foreign_arrivals`] instead of on
+    /// the links, and folded into the sending replica's counters with
+    /// [`Network::absorb_link_arrivals`] when the replicas merge.
+    pub fn set_foreign_links(&mut self, links: impl IntoIterator<Item = LinkId>) {
+        let n = self.links.len();
+        let mut set = ActiveSet::from_fn(n, |_| false);
+        for l in links {
+            set.insert(l.index());
+        }
+        self.wires.foreign = Some(Box::new(ForeignLinks {
+            links: set,
+            arrivals: vec![0; n],
+        }));
+    }
+
+    /// Per-link arrivals tallied for [`Network::set_foreign_links`]
+    /// (empty when none were set).
+    pub fn foreign_arrivals(&self) -> &[u64] {
+        self.wires.foreign.as_deref().map_or(&[], |f| &f.arrivals)
+    }
+
+    /// Folds `n` externally-counted arrivals into `link`'s counter (shard
+    /// merge reconciliation; see [`Network::set_foreign_links`]).
+    pub fn absorb_link_arrivals(&mut self, link: LinkId, n: u64) {
+        self.links[link.index()].absorb_arrivals(n);
     }
 
     /// Average occupancy (in flits) of the input port downstream of `link`
@@ -575,18 +881,32 @@ impl Network {
         nodes: std::ops::Range<usize>,
         link_ranges: [std::ops::Range<usize>; 2],
     ) {
-        for r in routers {
+        for r in routers.clone() {
             self.routers[r].clone_from(&donor.routers[r]);
         }
-        for n in nodes {
+        for n in nodes.clone() {
             self.sources[n].clone_from(&donor.sources[n]);
             self.sinks[n].clone_from(&donor.sinks[n]);
         }
+        // Credits travel back to a link's sender and flits on to its
+        // receiver, so a region takes the credit queues of the links it
+        // sends on and the flit queues of the links it receives from.
         for range in link_ranges {
             for l in range {
                 self.links[l].clone_from(&donor.links[l]);
+                self.wires.credits[l].clone_from(&donor.wires.credits[l]);
             }
         }
+        for l in 0..self.links.len() {
+            let receives = match self.to_ep[l] {
+                Endpoint::RouterPort { router, .. } => routers.contains(&router.index()),
+                Endpoint::Node(n) => nodes.contains(&n.index()),
+            };
+            if receives {
+                self.wires.flits[l].clone_from(&donor.wires.flits[l]);
+            }
+        }
+        self.wires.rebuild_sets();
         self.rebuild_active_sets();
     }
 
@@ -595,7 +915,9 @@ impl Network {
     /// topology wiring, endpoint tables, the route table — is a pure
     /// function of the configuration and is rebuilt by the constructor at
     /// resume (see `CHECKPOINTS.md` for the serialized-vs-recomputed
-    /// contract).
+    /// contract). Traffic on the wires is not included: checkpoints keep
+    /// it with the calendar's pending events
+    /// ([`Network::take_in_flight`]).
     pub fn checkpoint_state(&self) -> serde::Value {
         serde::Value::Map(vec![
             ("routers".into(), self.routers.serialize_value()),
@@ -645,6 +967,7 @@ impl Network {
         self.sinks = sinks;
         self.links = links;
         self.ticks = ticks;
+        self.wires = Wires::new(self.links.len());
         self.rebuild_active_sets();
         Ok(())
     }
@@ -689,68 +1012,105 @@ impl Network {
 }
 
 #[cfg(test)]
+pub(crate) mod driver {
+    use super::*;
+    use lumen_desim::EventQueue;
+
+    /// A minimal driver for the passive network model: one tick every core
+    /// cycle, with wired traffic delivered around it and ejection flits
+    /// replayed from a calendar, the way the full simulator drives it.
+    pub(crate) struct Driver {
+        pub(crate) net: Network,
+        queue: EventQueue<Effect>,
+        effects: Vec<Effect>,
+        pub(crate) ejected: Vec<Effect>,
+        pub(crate) now: Picos,
+        /// Marks a launched flit corrupted when it returns true (each flit
+        /// once per link it crosses); `corrupted` counts the marks.
+        pub(crate) corrupt: Option<fn(&Flit) -> bool>,
+        pub(crate) corrupted: u64,
+    }
+
+    impl Driver {
+        pub(crate) fn new(config: &NocConfig) -> Self {
+            Driver::with_network(Network::new(config))
+        }
+
+        pub(crate) fn with_network(net: Network) -> Self {
+            Driver {
+                net,
+                queue: EventQueue::new(),
+                effects: Vec::new(),
+                ejected: Vec::new(),
+                now: Picos::ZERO,
+                corrupt: None,
+                corrupted: 0,
+            }
+        }
+
+        /// Runs `cycles` core cycles.
+        pub(crate) fn run(&mut self, cycles: u64) {
+            for _ in 0..cycles {
+                self.step();
+            }
+        }
+
+        /// One core cycle: arrivals due before the tick, the tick, then
+        /// arrivals held for after it.
+        pub(crate) fn step(&mut self) {
+            let tick_seq = self.queue.reserve_seq();
+            self.net.deliver_before(self.now, tick_seq);
+            while let Some((at, eff)) = self.queue.pop_if_at_or_before(self.now) {
+                let Effect::Flit { link, vc, flit, .. } = eff else {
+                    unreachable!("only ejection flits are scheduled");
+                };
+                self.net.flit_arrived(at, link, vc, flit, &mut self.effects);
+                self.dispatch();
+            }
+            self.net.tick(self.now, &mut self.effects);
+            self.dispatch();
+            self.net.deliver_held(self.now);
+            self.now += self.net.config().cycle();
+        }
+
+        /// Routes pending effects: ejection flits onto the calendar, all
+        /// other flits and every credit onto the wires.
+        fn dispatch(&mut self) {
+            for mut eff in self.effects.drain(..) {
+                if let (Effect::Flit { flit, .. }, Some(corrupt)) = (&mut eff, self.corrupt) {
+                    if !flit.corrupted && corrupt(flit) {
+                        flit.corrupted = true;
+                        self.corrupted += 1;
+                    }
+                }
+                match eff {
+                    Effect::Ejected { .. } => self.ejected.push(eff),
+                    Effect::Flit { link, at, .. } if self.net.is_ejection(link) => {
+                        self.queue.schedule(at, eff);
+                    }
+                    Effect::Flit { link, vc, flit, at } => {
+                        let seq = self.queue.reserve_seq();
+                        self.net.send_flit(link, at, seq, vc, flit);
+                    }
+                    Effect::Credit { link, vc, at } => {
+                        let seq = self.queue.reserve_seq();
+                        self.net.send_credit(link, at, seq, vc);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::ids::Direction;
     use crate::routing::direction_port;
     use crate::topology::TopologyKind;
-    use lumen_desim::EventQueue;
     use lumen_opto::Gbps;
 
-    /// A minimal driver for the passive network model: schedules a tick
-    /// every core cycle and replays effects at their due times.
-    struct Driver {
-        net: Network,
-        queue: EventQueue<Effect>,
-        effects: Vec<Effect>,
-        ejected: Vec<Effect>,
-        now: Picos,
-    }
-
-    impl Driver {
-        fn new(config: &NocConfig) -> Self {
-            Driver {
-                net: Network::new(config),
-                queue: EventQueue::new(),
-                effects: Vec::new(),
-                ejected: Vec::new(),
-                now: Picos::ZERO,
-            }
-        }
-
-        /// Runs `cycles` core cycles.
-        fn run(&mut self, cycles: u64) {
-            let cycle = self.net.config().cycle();
-            for _ in 0..cycles {
-                // Deliver all effects due at or before `now`.
-                while let Some(t) = self.queue.peek_time() {
-                    if t > self.now {
-                        break;
-                    }
-                    let (at, eff) = self.queue.pop().expect("peeked");
-                    match eff {
-                        Effect::Flit { link, vc, flit, .. } => {
-                            self.net.flit_arrived(at, link, vc, flit, &mut self.effects);
-                        }
-                        Effect::Credit { link, vc, .. } => {
-                            self.net.credit_arrived(link, vc);
-                        }
-                        Effect::Ejected { .. } => unreachable!("ejections emitted inline"),
-                    }
-                }
-                self.net.tick(self.now, &mut self.effects);
-                for eff in self.effects.drain(..) {
-                    match eff {
-                        Effect::Ejected { .. } => self.ejected.push(eff),
-                        Effect::Flit { at, .. } | Effect::Credit { at, .. } => {
-                            self.queue.schedule(at, eff);
-                        }
-                    }
-                }
-                self.now += cycle;
-            }
-        }
-    }
+    pub(crate) use driver::Driver;
 
     fn packet(id: u64, src: usize, dst: usize, size: u32, at: Picos) -> Packet {
         Packet::new(
@@ -915,13 +1275,10 @@ mod tests {
             let mut config = NocConfig::small_for_tests();
             config.topology = topology;
             config.allow_torus_mesh_routing = true;
-            let mut d = Driver {
-                net: Network::with_routing(&config, crate::routing::RoutingAlgorithm::WestFirst),
-                queue: EventQueue::new(),
-                effects: Vec::new(),
-                ejected: Vec::new(),
-                now: Picos::ZERO,
-            };
+            let mut d = Driver::with_network(Network::with_routing(
+                &config,
+                crate::routing::RoutingAlgorithm::WestFirst,
+            ));
             let n = d.net.node_count();
             let mut id = 0;
             for s in 0..n {
@@ -978,13 +1335,10 @@ mod tests {
         // non-turn-model adaptive schemes; west-first must drain.
         let mut config = NocConfig::small_for_tests();
         config.allow_torus_mesh_routing = true;
-        let mut d = Driver {
-            net: Network::with_routing(&config, crate::routing::RoutingAlgorithm::WestFirst),
-            queue: EventQueue::new(),
-            effects: Vec::new(),
-            ejected: Vec::new(),
-            now: Picos::ZERO,
-        };
+        let mut d = Driver::with_network(Network::with_routing(
+            &config,
+            crate::routing::RoutingAlgorithm::WestFirst,
+        ));
         let mut id = 0;
         for s in 0..d.net.node_count() {
             for k in 0..6 {
